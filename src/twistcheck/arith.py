@@ -1,9 +1,9 @@
 """Exact integer and rational arithmetic helpers.
 
-Everything here stays at desk scale (well below 2**63, with occasional
-discriminants up to ~10**30 whose prime factors are small), so factorization
-is trial division behind a 2/3/5 wheel with a deterministic Miller-Rabin
-test mopping up any large prime (or prime-power) cofactor.
+Factorization is trial division to 10**6 behind a 2/3/5 wheel, then a
+Miller-Rabin test (deterministic below 3.3 * 10**24) on the cofactor left
+over, then Pollard-Brent rho (Brent, BIT 20, 1980) to split a composite
+cofactor, whose pieces go through the same test.
 """
 
 from __future__ import annotations
@@ -64,9 +64,12 @@ def sieve_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit + 1) if flags[i])
 
 
-def primes_up_to(limit: int):
-    """Iterate primes <= limit (cached sieve behind the scenes)."""
-    return iter(sieve_primes(limit))
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = least prime factor of n for 2 <= n <= limit (spf[0:2] = [0, 1])."""
+    spf = list(range(limit + 1))
+    for p in reversed(sieve_primes(math.isqrt(limit))):  # smaller primes overwrite
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +106,45 @@ def factorize(n: int) -> list[tuple[int, int]]:
         i = (i + 1) % 8
         if p > 1_000_000 and n > 1:
             break  # hand the (rare, large) cofactor to the code below
-    if n > 1:
-        if is_prime(n):
-            out.append((n, 1))
+    cofactors = [n] if n > 1 else []
+    large: dict[int, int] = {}
+    while cofactors:
+        m = cofactors.pop()
+        if is_prime(m):
+            large[m] = large.get(m, 0) + 1
         else:
-            r = math.isqrt(n)
-            if r * r == n and is_prime(r):
-                out.append((r, 2))
-            else:
-                raise ValueError(f"cofactor {n} out of reach for trial division")
+            f = _pollard_brent(m)
+            cofactors += [f, m // f]
+    out += large.items()
     out.sort()
     return out
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of a composite n that has no small prime factor."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"Pollard-Brent found no factor of {n}")
 
 
 def is_squarefree(n: int) -> bool:

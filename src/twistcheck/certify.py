@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .arith import is_prime, is_squarefree, prime_divisors, valuation
+from .arith import is_prime, is_squarefree, prime_divisors, sieve_primes, valuation
 from .curves import CurveModel, Family, base_curve, quadratic_twist
-from .frobenius import _ap_cached, is_ordinary
+from .frobenius import ap, is_ordinary
 from .local_invariants import conductor, tamagawa_product
 from .lseries import LRatioResult, algebraic_l_ratio, is_p_adic_unit
 from .tabledata import TABLE1, TABLE2, TableRow, factors_to_str
@@ -140,7 +140,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000, **knobs) -
     conds: list[Condition] = [
         Condition("good_reduction_at_p", "local", {"N": rep.N}, True)
     ]
-    a_p = _ap_cached(Y, p).a_p
+    a_p = ap(Y, p).a_p
     path = is_ordinary(Y, p)
     hard_failure = False
 
@@ -252,8 +252,6 @@ def admissible_primes(fam, d: int, p_max: int = 100, **knobs):
     excluded = set(fam.base_primes) | set(prime_divisors(d))
     excluded |= set(prime_divisors(ratio.numerator)) | set(prime_divisors(ratio.denominator))
     excluded = frozenset(excluded)
-    from .arith import sieve_primes
-
     for p in sieve_primes(p_max):
         if p in excluded:
             continue

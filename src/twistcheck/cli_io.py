@@ -11,9 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import factorize
 from .certify import (
     APPLIES,
     admissible_primes,
@@ -23,7 +21,7 @@ from .certify import (
     reproduce_table,
     table_row_json_dict,
 )
-from .curves import CurveModel, Family, base_curve, parse_ainvs, quadratic_twist
+from .curves import CurveModel, Family, base_curve, minimal_model, parse_ainvs, quadratic_twist
 from .local_invariants import conductor, tamagawa_product
 from .lseries import algebraic_l_ratio
 from .tabledata import factors_to_str
@@ -133,16 +131,10 @@ def _emit(args, json_obj: dict, text: str) -> None:
         print(text)
 
 
-def _ratio_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _cmd_invariants(args) -> int:
     E = _resolve_curve(args)
     rep = conductor(E)
     tor = torsion_subgroup(E)
-    from .curves import minimal_model
-
     M = minimal_model(E)
     obj = {
         "ainvs": [str(a) for a in M.ainvs],
@@ -181,14 +173,14 @@ def _cmd_lratio(args) -> int:
         "l1": res.l1,
         "omega": res.omega,
         "root_number": res.root_number,
-        "ratio": _ratio_str(res.ratio),
+        "ratio": str(res.ratio),
         "n_max": res.n_max,
     }
     text = (
         f"L(E,1)      {res.l1:.12g}\n"
         f"omega       {res.omega:.12g}\n"
         f"root number {res.root_number:+d}\n"
-        f"L/omega     {_ratio_str(res.ratio)}\n"
+        f"L/omega     {res.ratio}\n"
         f"n_max       {res.n_max}"
     )
     _emit(args, obj, text)

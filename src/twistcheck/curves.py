@@ -1,6 +1,7 @@
 """Weierstrass models over Q.
 
-Curves are immutable five-tuples of rationals.  Minimal models are produced
+Curves are immutable five-tuples of rationals that carry their b- and
+c-invariants and discriminant, computed once.  Minimal models are produced
 by the Laska-Kraus-Connell strategy: scale (c4, c6) down by the largest
 admissible u and rebuild the reduced model from the scaled invariants, so the
 output is the same canonical model the standard curve tables print.
@@ -9,30 +10,71 @@ output is the same canonical model the standard curve tables print.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
-from .arith import NotSquarefree, factorize, is_squarefree, valuation
+from .arith import NotSquarefree, is_squarefree, prime_divisors, valuation
 
 
 class SingularCurve(ValueError):
     """The discriminant vanishes: not an elliptic curve."""
 
 
-Rat = Fraction
+def weierstrass_invariants(a):
+    """(b2, b4, b6, b8, c4, c6, discriminant) of a-invariants (ints or Fractions)."""
+    a1, a2, a3, a4, a6 = a
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
+
+
+def rst(a, r, s, t):
+    """a-invariants after x = x' + r, y = y' + s x' + t (ints or Fractions)."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
 
 
 @dataclass(frozen=True)
 class CurveModel:
-    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    The b- and c-invariants and the discriminant are computed once, when the
+    model is built; equality and hashing look at the a-invariants only.
+    """
 
     a1: Fraction
     a2: Fraction
     a3: Fraction
     a4: Fraction
     a6: Fraction
+    b2: Fraction = field(init=False, repr=False, compare=False)
+    b4: Fraction = field(init=False, repr=False, compare=False)
+    b6: Fraction = field(init=False, repr=False, compare=False)
+    b8: Fraction = field(init=False, repr=False, compare=False)
+    c4: Fraction = field(init=False, repr=False, compare=False)
+    c6: Fraction = field(init=False, repr=False, compare=False)
+    _discriminant: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # int arithmetic is an order of magnitude faster than Fraction arithmetic
+        a = self.integer_ainvs() if self.is_integral else self.ainvs
+        names = ("b2", "b4", "b6", "b8", "c4", "c6", "_discriminant")
+        for name, value in zip(names, weierstrass_invariants(a)):
+            object.__setattr__(self, name, Fraction(value))
 
     @classmethod
     def from_ainvs(cls, ainvs) -> "CurveModel":
@@ -43,37 +85,10 @@ class CurveModel:
     def ainvs(self) -> tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    # standard b-, c-invariants
-    @property
-    def b2(self) -> Fraction:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self) -> Fraction:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self) -> Fraction:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self) -> Fraction:
-        a1, a2, a3, a4, a6 = self.ainvs
-        return a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-
-    @property
-    def c4(self) -> Fraction:
-        return self.b2 * self.b2 - 24 * self.b4
-
-    @property
-    def c6(self) -> Fraction:
-        b2, b4, b6 = self.b2, self.b4, self.b6
-        return -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-
     @property
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        # a property, not a field, so that bench/tracing.py can count reads
+        return self._discriminant
 
     @property
     def j(self) -> Fraction:
@@ -105,15 +120,7 @@ def invariants(E: CurveModel):
 
 def rst_transform(E: CurveModel, r, s, t) -> CurveModel:
     """Apply x = x' + r, y = y' + s x' + t (u = 1)."""
-    r, s, t = Fraction(r), Fraction(s), Fraction(t)
-    a1, a2, a3, a4, a6 = E.ainvs
-    return CurveModel(
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
+    return CurveModel(*rst(E.ainvs, Fraction(r), Fraction(s), Fraction(t)))
 
 
 def u_scale(E: CurveModel, u) -> CurveModel:
@@ -133,15 +140,6 @@ def parse_ainvs(text: str) -> CurveModel:
 
 # ---------------------------------------------------------------------------
 # minimal models (Laska-Kraus-Connell)
-
-
-def _fraction_support(*values: Fraction) -> set[int]:
-    primes: set[int] = set()
-    for v in values:
-        for n in (v.numerator, v.denominator):
-            if n not in (0, 1, -1):
-                primes.update(p for p, _ in factorize(n))
-    return primes
 
 
 def _model_from_c4c6(c4: Fraction, c6: Fraction) -> CurveModel | None:
@@ -178,22 +176,19 @@ def _model_from_c4c6(c4: Fraction, c6: Fraction) -> CurveModel | None:
     return None
 
 
-_MINIMAL_CACHE: dict[tuple[Fraction, ...], CurveModel] = {}
-
-
+@cache
 def minimal_model(E: CurveModel) -> CurveModel:
     """Global minimal model of E in reduced (canonical) form."""
-    key = E.ainvs
-    hit = _MINIMAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     c4, c6, disc = E.c4, E.c6, E.discriminant
     if disc == 0:
         raise SingularCurve(f"singular model {E}")
 
+    # u can move only at primes dividing every nonzero numerator (p | u) or
+    # some denominator (p | 1/u); at any other prime the floor below is 0.
+    support = [math.gcd(c4.numerator, c6.numerator, disc.numerator)]
+    support += (c4.denominator, c6.denominator, disc.denominator)
     exps: dict[int, int] = {}
-    for p in _fraction_support(c4, c6, disc):
+    for p in {p for n in support for p in prime_divisors(n)}:
         vals = [Fraction(valuation(disc, p), 12)]
         if c4 != 0:
             vals.append(Fraction(valuation(c4, p), 4))
@@ -216,8 +211,6 @@ def minimal_model(E: CurveModel) -> CurveModel:
         if M is not None:
             if M.discriminant != disc / u**12:
                 raise RuntimeError(f"minimal model bookkeeping failed for {E}")
-            _MINIMAL_CACHE[key] = M
-            _MINIMAL_CACHE[M.ainvs] = M
             return M
     raise RuntimeError(f"no admissible rescaling found for {E}")
 
@@ -276,15 +269,11 @@ _BASE_J = {
     Family.X21: Fraction(193**3, 3**4 * 7**2),
 }
 
-_BASE_VALIDATED: dict[Family, CurveModel] = {}
 
-
+@cache
 def base_curve(tag) -> CurveModel:
     """Global minimal model of 15A1 or 21A1, validated on first use."""
     fam = Family.parse(tag)
-    hit = _BASE_VALIDATED.get(fam)
-    if hit is not None:
-        return hit
     E = CurveModel.from_ainvs(_BASE_AINVS[fam])
     if E.j != _BASE_J[fam]:
         raise RuntimeError(f"embedded {fam.value} coefficients have wrong j-invariant")
@@ -295,7 +284,6 @@ def base_curve(tag) -> CurveModel:
         raise RuntimeError(f"embedded {fam.value} coefficients have conductor {N}")
     if minimal_model(E) != E:
         raise RuntimeError(f"embedded {fam.value} model is not reduced-minimal")
-    _BASE_VALIDATED[fam] = E
     return E
 
 

@@ -8,12 +8,21 @@ needs is a few times 10^4, so nothing fancier is warranted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .arith import factorize, sieve_primes, valuation
+from .arith import kronecker, sieve_primes, smallest_prime_factors, valuation
 from .curves import CurveModel, is_minimal_at, minimal_model
-from .local_invariants import ADDITIVE, GOOD, NONSPLIT, NotMinimalAtP, SPLIT, _legendre, tate_local
+from .local_invariants import (
+    ADDITIVE,
+    GOOD,
+    NONSPLIT,
+    SPLIT,
+    NotMinimalAtP,
+    conductor,
+    tate_local,
+)
 
 
 class BadReduction(ValueError):
@@ -31,28 +40,6 @@ class ApRecord:
     kind: str
 
 
-_GOOD_COUNT_CACHE: dict[tuple, int] = {}
-
-
-def _count_points_odd(b2: int, b4: int, b6: int, p: int) -> int:
-    """#E(F_p) for odd p via chi(4x^3 + b2 x^2 + 2 b4 x + b6)."""
-    key = (b2 % p, (2 * b4) % p, b6 % p, p)
-    hit = _GOOD_COUNT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    b2m, b4m2, b6m = key[0], key[1], key[2]
-    x = np.arange(p, dtype=np.int64)
-    g = (4 * x + b2m) % p
-    g = (g * x + b4m2) % p
-    g = (g * x + b6m) % p
-    table = np.zeros(p, dtype=np.int8)
-    table[(x * x) % p] = 1
-    chi = np.where(g == 0, 0, np.where(table[g] == 1, 1, -1))
-    count = p + 1 + int(chi.sum())
-    _GOOD_COUNT_CACHE[key] = count
-    return count
-
-
 def _count_points_brute(a: tuple[int, ...], p: int) -> int:
     a1, a2, a3, a4, a6 = a
     n = 1  # point at infinity
@@ -65,16 +52,24 @@ def _count_points_brute(a: tuple[int, ...], p: int) -> int:
 
 
 def count_points(E: CurveModel, p: int) -> int:
-    """#E~(F_p) for a prime of good reduction (E minimal at p)."""
+    """#E~(F_p) for a prime of good reduction (E minimal at p).
+
+    For odd p this is p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6).
+    """
     a = E.integer_ainvs()
     if p == 2:
         return _count_points_brute(a, 2)
-    b2 = a[0] * a[0] + 4 * a[1]
-    b4 = 2 * a[3] + a[0] * a[2]
-    b6 = a[2] * a[2] + 4 * a[4]
-    return _count_points_odd(b2, b4, b6, p)
+    x = np.arange(p, dtype=np.int64)
+    g = (4 * x + int(E.b2) % p) % p
+    g = (g * x + 2 * int(E.b4) % p) % p
+    g = (g * x + int(E.b6) % p) % p
+    table = np.zeros(p, dtype=np.int8)
+    table[(x * x) % p] = 1
+    chi = np.where(g == 0, 0, np.where(table[g] == 1, 1, -1))
+    return p + 1 + int(chi.sum())
 
 
+@cache
 def ap(E: CurveModel, p: int) -> ApRecord:
     """Trace of Frobenius at p (E must be integral and minimal at p)."""
     if not E.is_integral or not is_minimal_at(E, p):
@@ -88,7 +83,7 @@ def ap(E: CurveModel, p: int) -> ApRecord:
     if p == 2:
         kind = tate_local(E, 2).kind
     else:
-        kind = SPLIT if _legendre(int(-E.c6) % p, p) == 1 else NONSPLIT
+        kind = SPLIT if kronecker(int(-E.c6), p) == 1 else NONSPLIT
     return ApRecord(p, 1 if kind == SPLIT else -1, kind)
 
 
@@ -101,12 +96,12 @@ def an_coefficients(E: CurveModel, n_max: int) -> list[int]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     M = minimal_model(E)
-    bad = {p for p, _ in _factorized_disc(M)}
+    bad = {ld.p for ld in conductor(M).local_data}
     a = [0] * (n_max + 1)
     a[1] = 1
-    spf = _smallest_prime_factor(n_max)
+    spf = smallest_prime_factors(n_max)
     for p in sieve_primes(n_max):
-        rec = _ap_cached(M, p)
+        rec = ap(M, p)
         q = p
         prev2, prev1 = 1, rec.a_p  # a_{p^0}, a_{p^1}
         good = p not in bad
@@ -138,40 +133,4 @@ def is_ordinary(E: CurveModel, p: int) -> str:
     M = minimal_model(E)
     if int(M.discriminant) % p == 0:
         raise BadReduction(f"{p} divides the conductor")
-    rec = _ap_cached(M, p)
-    return "ordinary" if rec.a_p % p else "supersingular"
-
-
-# ---------------------------------------------------------------------------
-# internals
-
-_AP_CACHE: dict[tuple, ApRecord] = {}
-_DISC_FACTOR_CACHE: dict[tuple, tuple] = {}
-
-
-def _ap_cached(M: CurveModel, p: int) -> ApRecord:
-    key = (M.ainvs, p)
-    hit = _AP_CACHE.get(key)
-    if hit is None:
-        hit = ap(M, p)
-        _AP_CACHE[key] = hit
-    return hit
-
-
-def _factorized_disc(M: CurveModel):
-    key = M.ainvs
-    hit = _DISC_FACTOR_CACHE.get(key)
-    if hit is None:
-        hit = tuple(factorize(int(M.discriminant)))
-        _DISC_FACTOR_CACHE[key] = hit
-    return hit
-
-
-def _smallest_prime_factor(limit: int) -> list[int]:
-    spf = list(range(limit + 1))
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
+    return "ordinary" if ap(M, p).a_p % p else "supersingular"

@@ -11,15 +11,24 @@ sidesteps every characteristic-2/3 special case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import (
     NotSquarefree,
     factorize,
     is_squarefree,
+    kronecker,
     quad_field_data,
     valuation,
 )
-from .curves import CurveModel, SingularCurve, is_minimal_at, minimal_model
+from .curves import (
+    CurveModel,
+    SingularCurve,
+    is_minimal_at,
+    minimal_model,
+    rst,
+    weierstrass_invariants,
+)
 
 GOOD = "good"
 SPLIT = "split-multiplicative"
@@ -54,31 +63,13 @@ class ConductorReport:
 # small mod-p helpers
 
 
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        raise ZeroDivisionError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def _quadroots(a: int, b: int, c: int, p: int) -> bool:
     """Does a y^2 + b y + c have a root mod p?"""
     if p == 2:
         return (c % 2 == 0) or ((a + b + c) % 2 == 0)
     if a % p == 0:
         return (b % p != 0) or (c % p == 0)
-    return _legendre(b * b - 4 * a * c, p) >= 0
+    return kronecker(b * b - 4 * a * c, p) >= 0
 
 
 def _double_root_of_quadratic(a: int, b: int, c: int, p: int) -> int:
@@ -104,26 +95,6 @@ def _cubic_repeated_root(b: int, c: int, d: int, p: int) -> int:
     raise ArithmeticError("cubic has no repeated root mod p")
 
 
-def _rst_int(a: tuple[int, ...], r: int, s: int, t: int) -> tuple[int, ...]:
-    a1, a2, a3, a4, a6 = a
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-
-
-def _bvals(a: tuple[int, ...]) -> tuple[int, int, int, int]:
-    a1, a2, a3, a4, a6 = a
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return b2, b4, b6, b8
-
-
 def _move_singular_point(a: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Translate so the singular point of the reduction sits at (0, 0) mod p."""
     a1, a2, a3, a4, a6 = a
@@ -134,17 +105,15 @@ def _move_singular_point(a: tuple[int, ...], p: int) -> tuple[int, ...]:
                 dx = a1 * y0 - (3 * x0 * x0 + 2 * a2 * x0 + a4)
                 dy = 2 * y0 + a1 * x0 + a3
                 if eq % p == 0 and dx % p == 0 and dy % p == 0:
-                    return _rst_int(a, x0, 0, y0)
+                    return rst(a, x0, 0, y0)
         raise ArithmeticError(f"no singular point mod {p}")
-    b2, b4, b6, _ = _bvals(a)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    b2, _, _, _, c4, c6, _ = weierstrass_invariants(a)
     if c4 % p == 0:  # cusp: triple root of the 2-division cubic
         r = (-b2 * pow(12, p - 2, p)) % p
     else:  # node: double root
         r = (-(c6 + b2 * c4) * pow(12 * c4, p - 2, p)) % p
     t = (-(a1 * r + a3) * pow(2, p - 2, p)) % p
-    return _rst_int(a, r, 0, t)
+    return rst(a, r, 0, t)
 
 
 def _prepare_step7(a: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -152,7 +121,7 @@ def _prepare_step7(a: tuple[int, ...], p: int) -> tuple[int, ...]:
     if p == 2:
         for s in range(2):
             for t in range(4):
-                b = _rst_int(_rst_int(a, 0, s, 0), 0, 0, t)
+                b = rst(rst(a, 0, s, 0), 0, 0, t)
                 if (
                     b[0] % 2 == 0
                     and b[1] % 2 == 0
@@ -163,11 +132,11 @@ def _prepare_step7(a: tuple[int, ...], p: int) -> tuple[int, ...]:
                     return b
         raise ArithmeticError("step-7 normalization failed at p = 2")
     s = (-a[0] * pow(2, p - 2, p)) % p
-    b = _rst_int(a, 0, s, 0)
+    b = rst(a, 0, s, 0)
     p2 = p * p
     inv2 = pow(2, -1, p2)
     t = (-b[2] * inv2) % p2
-    b = _rst_int(b, 0, 0, t)
+    b = rst(b, 0, 0, t)
     if not (b[0] % p == 0 and b[1] % p == 0 and b[2] % p2 == 0 and b[3] % p2 == 0 and b[4] % p**3 == 0):
         raise ArithmeticError(f"step-7 normalization failed at p = {p}")
     return b
@@ -178,17 +147,16 @@ def _prepare_step7(a: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
-    b2, b4, b6, b8 = _bvals(a)
-    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    disc = weierstrass_invariants(a)[6]
     if disc == 0:
         raise SingularCurve("discriminant is zero")
     if disc % p:
         return LocalData(p, "I0", 0, 1, GOOD, 0)
-    n = _vp(disc, p)
+    n = valuation(disc, p)
 
     a = _move_singular_point(a, p)
     a1, a2, a3, a4, a6 = a
-    b2, b4, b6, b8 = _bvals(a)
+    b2, _, b6, b8, _, _, _ = weierstrass_invariants(a)
     if not (a3 % p == 0 and a4 % p == 0 and a6 % p == 0):
         raise ArithmeticError("singular point translation failed")
 
@@ -226,7 +194,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
     if x % p:
         # double root: shift it to T = 0, then walk the I_m* chain
         r0 = _cubic_repeated_root(b % p, cc % p, d % p, p)
-        a = _rst_int(a, r0 * p, 0, 0)
+        a = rst(a, r0 * p, 0, 0)
         a1, a2, a3, a4, a6 = a
         if not (a2 % p == 0 and a2 % p2 != 0 and a4 % p3 == 0 and a6 % p4 == 0):
             raise ArithmeticError("I_m* entry state invalid")
@@ -240,7 +208,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
                     ck = 4 if _quadroots(1, a3k, -a6k, p) else 2
                     return LocalData(p, f"I{m}*", n - 4 - m, ck, ADDITIVE, n)
                 gam = _double_root_of_quadratic(1, a3k, -a6k, p)
-                a = _rst_int(a, 0, 0, gam * p ** (k + 1))
+                a = rst(a, 0, 0, gam * p ** (k + 1))
             else:
                 k = m // 2
                 a21 = a2 // p
@@ -250,7 +218,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
                     ck = 4 if _quadroots(a21, a4k, a6k, p) else 2
                     return LocalData(p, f"I{m}*", n - 4 - m, ck, ADDITIVE, n)
                 delt = _double_root_of_quadratic(a21, a4k, a6k, p)
-                a = _rst_int(a, delt * p ** (k + 1), 0, 0)
+                a = rst(a, delt * p ** (k + 1), 0, 0)
             a1, a2, a3, a4, a6 = a
             m += 1
             if m > n:
@@ -261,7 +229,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
         r0 = _cubic_repeated_root(b % p, cc % p, d % p, p)
     else:
         r0 = (-b * pow(3, p - 2, p)) % p
-    a = _rst_int(a, r0 * p, 0, 0)
+    a = rst(a, r0 * p, 0, 0)
     a1, a2, a3, a4, a6 = a
     if not (a2 % p2 == 0 and a4 % p3 == 0 and a6 % p4 == 0):
         raise ArithmeticError("triple-root shift state invalid")
@@ -272,7 +240,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
         c = 3 if _quadroots(1, a32, -a64, p) else 1
         return LocalData(p, "IV*", n - 6, c, ADDITIVE, n)
     gam = _double_root_of_quadratic(1, a32, -a64, p)
-    a = _rst_int(a, 0, 0, gam * p2)
+    a = rst(a, 0, 0, gam * p2)
     a1, a2, a3, a4, a6 = a
 
     if a4 % p4:
@@ -299,16 +267,10 @@ def tate_local(E: CurveModel, p: int) -> LocalData:
     return ld
 
 
-_CONDUCTOR_CACHE: dict[tuple, ConductorReport] = {}
-
-
+@cache
 def conductor(E: CurveModel) -> ConductorReport:
     """Global conductor with the per-prime breakdown (minimalizes internally)."""
     M = minimal_model(E)
-    key = M.ainvs
-    hit = _CONDUCTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     disc = int(M.discriminant)
     locals_: list[LocalData] = []
     N = 1
@@ -317,9 +279,7 @@ def conductor(E: CurveModel) -> ConductorReport:
         locals_.append(ld)
         N *= p**ld.f
     fac = tuple((ld.p, ld.f) for ld in locals_ if ld.f > 0)
-    report = ConductorReport(N, fac, tuple(locals_))
-    _CONDUCTOR_CACHE[key] = report
-    return report
+    return ConductorReport(N, fac, tuple(locals_))
 
 
 def tamagawa_product(E: CurveModel) -> int:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .arith import valuation
-from .curves import CurveModel, minimal_model
+from .curves import CurveModel, SingularCurve, minimal_model
 from .frobenius import an_coefficients
 from .local_invariants import conductor
 
@@ -43,7 +44,6 @@ class LRatioResult:
     root_number: int
     ratio: Fraction  # Fraction(0) encodes the vanishing (non-unit) case
     n_max: int
-    error_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,6 @@ def period_of_model(E: CurveModel) -> float:
     b2, b4, b6 = float(E.b2), float(E.b4), float(E.b6)
     disc = E.discriminant
     if disc == 0:
-        from .curves import SingularCurve
-
         raise SingularCurve(f"singular model {E}")
     roots = _polished_roots(b2, b4, b6)
     if disc > 0:
@@ -146,11 +144,11 @@ def _series_length(N: int, eps: float = 1e-12, t_min: float = 1.0 / 1.2) -> int:
 
 def l_value_at_1(E: CurveModel, nmax_cap: int = 10**6) -> tuple[float, int]:
     """(L(E,1), root number), resolving the sign by two-point consistency."""
-    l1, w, _, _ = _l_series(E, nmax_cap)
+    l1, w, _ = _l_series(E, nmax_cap)
     return l1, w
 
 
-def _l_series(E: CurveModel, nmax_cap: int, stretch: int = 1) -> tuple[float, int, int, float]:
+def _l_series(E: CurveModel, nmax_cap: int, stretch: int = 1) -> tuple[float, int, int]:
     M = minimal_model(E)
     N = conductor(M).N
     n_max = _series_length(N) * stretch
@@ -175,15 +173,14 @@ def _l_series(E: CurveModel, nmax_cap: int, stretch: int = 1) -> tuple[float, in
         raise RootNumberAmbiguous(
             f"discrepancies {disc_plus:.3e} / {disc_minus:.3e} both exceed 1e-8"
         )
-    return (1 + w) * f1, w, n_max, 1e-12
+    return (2.0 * f1 if w == 1 else 0.0), w, n_max
 
 
 # ---------------------------------------------------------------------------
 # algebraic ratio
 
-_RATIO_CACHE: dict[tuple, LRatioResult] = {}
 
-
+@cache
 def algebraic_l_ratio(
     E: CurveModel,
     nmax_cap: int = 10**6,
@@ -193,25 +190,18 @@ def algebraic_l_ratio(
 ) -> LRatioResult:
     """Exactly recognized L(E,1)/Omega (Fraction(0) when the value vanishes)."""
     M = minimal_model(E)
-    key = (M.ainvs, nmax_cap, tolerance, max_denominator, _stretch)
-    hit = _RATIO_CACHE.get(key)
-    if hit is not None:
-        return hit
     omega = period_of_model(M)
-    l1, w, n_max, err = _l_series(M, nmax_cap, stretch=_stretch)
+    l1, w, n_max = _l_series(M, nmax_cap, stretch=_stretch)
     if w == -1 or abs(l1) < 1e-8 * omega:
-        result = LRatioResult(l1, omega, w, ZERO_RATIO, n_max, err)
-    else:
-        x = l1 / omega
-        guess = Fraction(x).limit_denominator(max_denominator)
-        if abs(x - float(guess)) >= tolerance:
-            raise RecognitionFailed(
-                f"L1/Omega = {x!r} is not within {tolerance} of a rational "
-                f"with denominator <= {max_denominator}"
-            )
-        result = LRatioResult(l1, omega, w, guess, n_max, err)
-    _RATIO_CACHE[key] = result
-    return result
+        return LRatioResult(l1, omega, w, ZERO_RATIO, n_max)
+    x = l1 / omega
+    guess = Fraction(x).limit_denominator(max_denominator)
+    if abs(x - float(guess)) >= tolerance:
+        raise RecognitionFailed(
+            f"L1/Omega = {x!r} is not within {tolerance} of a rational "
+            f"with denominator <= {max_denominator}"
+        )
+    return LRatioResult(l1, omega, w, guess, n_max)
 
 
 def is_p_adic_unit(q, p: int) -> bool:

@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from .arith import divisors_from_factorization, factorize, is_prime, sieve_primes
+from .arith import divisors_from_factorization, factorize, is_prime, kronecker, sieve_primes
 from .curves import (
     CurveModel,
     Point,
@@ -40,8 +41,8 @@ from .curves import (
     point_mul,
     point_order,
 )
-from .frobenius import _ap_cached, count_points
-from .local_invariants import _legendre, conductor
+from .frobenius import ap, count_points
+from .local_invariants import conductor
 
 SURJECTIVE = "Surjective"
 UNDETERMINED = "Undetermined"
@@ -89,16 +90,10 @@ def _integer_roots_depressed_cubic(A: int, C: int) -> list[int]:
     return sorted(roots)
 
 
-_TORSION_CACHE: dict[tuple, TorsionStructure] = {}
-
-
+@cache
 def torsion_subgroup(E: CurveModel) -> TorsionStructure:
     """Exact rational torsion subgroup (generators live on the minimal model)."""
     M = minimal_model(E)
-    key = M.ainvs
-    hit = _TORSION_CACHE.get(key)
-    if hit is not None:
-        return hit
 
     # (i) order bound from reductions at eight good odd primes
     disc = int(M.discriminant)
@@ -170,9 +165,7 @@ def torsion_subgroup(E: CurveModel) -> TorsionStructure:
     if factors not in _MAZUR:
         raise RuntimeError(f"torsion structure {factors} is not an allowed group")
 
-    result = TorsionStructure(factors, order, gens)
-    _TORSION_CACHE[key] = result
-    return result
+    return TorsionStructure(factors, order, gens)
 
 
 def two_torsion_rational(E: CurveModel) -> bool:
@@ -207,11 +200,11 @@ def mod_l_image(E: CurveModel, l: int, sample_bound: int = 10_000) -> GaloisImag
     for p in sieve_primes(sample_bound):
         if p == l or N % p == 0:
             continue
-        t = _ap_cached(M, p).a_p % l
+        t = ap(M, p).a_p % l
         det = p % l
         disc = (t * t - 4 * det) % l
         if t and disc:
-            sym = _legendre(disc, l)
+            sym = kronecker(disc, l)
             if sym == -1 and need["irreducible"] is None:
                 need["irreducible"] = p
             if sym == 1 and need["split_semisimple"] is None:

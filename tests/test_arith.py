@@ -43,6 +43,19 @@ class TestFactorize:
     def test_negative_uses_absolute_value(self):
         assert factorize(-12) == [(2, 2), (3, 1)]
 
+    @pytest.mark.parametrize(
+        "n,expect",
+        [
+            # cofactors left by trial division to 10^6, split by Pollard-Brent
+            (21502239136429577093, [(4616039, 1), (4658158030387, 1)]),
+            (5879287403719, [(1464277, 1), (4015147, 1)]),
+            (2**5 * 1000003**3 * 1000033, [(2, 5), (1000003, 3), (1000033, 1)]),
+            ((2**31 - 1) ** 2 * (2**61 - 1), [(2**31 - 1, 2), (2**61 - 1, 1)]),
+        ],
+    )
+    def test_large_cofactors(self, n, expect):
+        assert factorize(n) == expect
+
     @given(st.integers(min_value=1, max_value=10**7))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_and_primality(self, n):
@@ -98,7 +111,10 @@ class TestKronecker:
         assert kronecker(-1, 0) == 1
         assert kronecker(12, 0) == 0
 
-    @given(st.integers(-50, 50), st.integers(-100, 100), st.integers(-100, 100))
+    # (D/0) is not multiplicative ((-1/0) = 1 but (-1/-1) = -1); see test_zero_bottom
+    nonzero = st.integers(-100, 100).filter(bool)
+
+    @given(st.integers(-50, 50), nonzero, nonzero)
     @settings(max_examples=300, deadline=None)
     def test_multiplicative_in_bottom(self, D, m, n):
         assert kronecker(D, m * n) == kronecker(D, m) * kronecker(D, n)

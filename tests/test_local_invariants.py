@@ -112,6 +112,9 @@ class TestClassicalAnchors:
             ((0, 0, 1, -1, 0), 37),
             ((1, -1, 0, -2, -1), 49),
             ((0, 0, 0, 0, -432), 27),
+            # discriminants with a composite cofactor beyond trial division
+            ((0, 0, 0, -2955086, -798438074), 2**6 * 4616039 * 4658158030387),
+            ((240, -73, 148, 207, 266), 2**2 * 3 * 31 * 248783 * 2048003),
         ],
     )
     def test_conductors(self, ainvs, N):

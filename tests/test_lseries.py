@@ -78,6 +78,11 @@ class TestLValue:
         assert res.ratio == 0
         assert res.root_number == -1 or abs(res.l1) < 1e-8 * res.omega
 
+    def test_root_number_minus_one_gives_positive_zero(self, x15):
+        res = algebraic_l_ratio(quadratic_twist(x15, 58))
+        assert res.root_number == -1
+        assert math.copysign(1.0, res.l1) == 1.0 and res.l1 == 0.0
+
     @pytest.mark.parametrize(
         "fam,d,expect",
         [("21", 37, 8), ("15", 35, 16), ("21", 5, 1), ("15", 2, 2)],
