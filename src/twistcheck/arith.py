@@ -1,9 +1,13 @@
-"""Exact integer and rational arithmetic helpers.
+"""Exact integer and rational arithmetic, and every polynomial root finder.
 
-Factorization is trial division to 10**6 behind a 2/3/5 wheel, then a
-Miller-Rabin test (deterministic below 3.3 * 10**24) on the cofactor left
-over, then Pollard-Brent rho (Brent, BIT 20, 1980) to split a composite
-cofactor, whose pieces go through the same test.
+Factorization is trial division below 2**10, then Miller-Rabin (deterministic
+below 3.3 * 10**24) on the cofactor; a composite cofactor r**k becomes k
+copies of r, any other is split by Pollard-Brent rho (Brent, BIT 20, 1980).
+
+Roots: real roots of a cubic in closed form, Newton-polished in float64;
+integer roots of a depressed cubic from float seeds checked against exact
+monotone brackets; the number of roots over F_p as deg gcd(f, T^p - T)
+(Cohen, GTM 138, section 3.4).
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ def smallest_prime_factors(limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # factorization
 
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+_TRIAL_BITS = 10  # trial division below 2**10; the limit was set by measurement
+_TRIAL_PRIMES = sieve_primes(1 << _TRIAL_BITS)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -87,37 +92,44 @@ def factorize(n: int) -> list[tuple[int, int]]:
         raise ZeroInput("cannot factor 0")
     n = abs(n)
     out: list[tuple[int, int]] = []
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    p, i = 7, 0
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += _WHEEL[i]
-        i = (i + 1) % 8
-        if p > 1_000_000 and n > 1:
-            break  # hand the (rare, large) cofactor to the code below
     cofactors = [n] if n > 1 else []
     large: dict[int, int] = {}
     while cofactors:
         m = cofactors.pop()
         if is_prime(m):
             large[m] = large.get(m, 0) + 1
+            continue
+        # every prime factor of m exceeds 2**_TRIAL_BITS, so m = r**k bounds k
+        for k in sieve_primes(m.bit_length() // _TRIAL_BITS):
+            r = iroot(m, k)
+            if r**k == m:
+                cofactors += [r] * k
+                break
         else:
             f = _pollard_brent(m)
             cofactors += [f, m // f]
-    out += large.items()
-    out.sort()
-    return out
+    return sorted(out + list(large.items()))
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, in exact integer arithmetic."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _pollard_brent(n: int) -> int:
@@ -253,3 +265,140 @@ def quad_field_data(d: int) -> QuadFieldData:
     if d % 4 == 2:
         return QuadFieldData(d, 4 * d, 3)
     return QuadFieldData(d, 4 * d, 2)
+
+
+# ---------------------------------------------------------------------------
+# roots of polynomials over R and over Z
+
+
+def _depressed_cubic_roots(p, q, disc) -> list[float]:
+    """Closed-form real roots of t^3 + p t + q, ascending, from exact p, q and
+    disc = -4 p^3 - 27 q^2: three with multiplicity (Viete) when disc >= 0,
+    else one (Cardano, in the form without cancellation)."""
+    if disc < 0:
+        w = -q / 2 - math.copysign(math.sqrt(-disc / 108), q)
+        u = math.copysign(abs(w) ** (1 / 3), w)
+        return [u - p / (3 * u)]
+    if p == 0:
+        return [0.0, 0.0, 0.0]
+    m = 2 * math.sqrt(-p / 3)
+    phi = math.acos(max(-1.0, min(1.0, 3 * q / (p * m)))) / 3
+    return sorted(m * math.cos(phi - 2 * math.pi * k / 3) for k in range(3))
+
+
+def real_cubic_roots(a, b, c, d) -> list[float]:
+    """Real roots of a x^3 + b x^2 + c x + d (exact rationals, a != 0), descending:
+    three with multiplicity when the exact discriminant is >= 0, else one.
+    Closed-form seeds are Newton-polished in float64."""
+    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
+    p = (3 * a * c - b * b) / (3 * a * a)
+    q = (2 * b**3 - 9 * a * b * c + 27 * a * a * d) / (27 * a**3)
+    fa, fb, fc, fd = float(a), float(b), float(c), float(d)
+    roots = []
+    for t in _depressed_cubic_roots(p, q, -4 * p**3 - 27 * q * q):
+        x = t - float(b / (3 * a))
+        for _ in range(60):
+            slope = (3.0 * fa * x + 2.0 * fb) * x + fc
+            step = (((fa * x + fb) * x + fc) * x + fd) / slope if slope else 0.0
+            x -= step
+            if abs(step) <= 1e-17 * (1.0 + abs(x)):
+                break
+        roots.append(x)
+    return sorted(roots, reverse=True)
+
+
+def integer_cubic_roots(A: int, C: int) -> list[int]:
+    """Integer roots of X^3 + A X + C, ascending, each checked by substitution.
+
+    The exact discriminant gives the real roots' number, or a repeated root
+    in closed form.  Each real root is then bracketed exactly where the cubic
+    is monotone, and bisection, probing beside the float seed first, finds it.
+    """
+    disc = -4 * A**3 - 27 * C * C
+    if disc == 0:  # X^3, or (X - 3C/A) (X + 3C/(2A))^2
+        candidates = (Fraction(3 * C, A), Fraction(-3 * C, 2 * A)) if A else (Fraction(0),)
+        return sorted({int(r) for r in candidates if r.denominator == 1})
+    bound = 2 * (max(math.isqrt(abs(A)), iroot(abs(C), 3)) + 1)  # Fujiwara: |root| < bound
+    if disc > 0:  # three real roots, split by the critical points +-sqrt(-A/3)
+        t = math.isqrt(-A // 3)
+        brackets = ((-bound, -t - 1, 1), (-t, t, -1), (t + 1, bound, 1))
+    else:
+        brackets = ((-bound, bound, 1),)
+    roots = []
+    for (lo, hi, sign), seed in zip(brackets, _depressed_cubic_roots(A, C, disc)):
+        # the largest n in [lo, hi] with sign * f(n) <= 0, where sign * f increases
+        n, above = lo - 1, hi + 1
+        probes = [math.floor(seed), math.floor(seed) + 1]
+        while above - n > 1:
+            x = min(max(probes.pop() if probes else (n + above) // 2, n + 1), above - 1)
+            if sign * ((x * x + A) * x + C) <= 0:
+                n = x
+            else:
+                above = x
+        if n >= lo and (n * n + A) * n + C == 0:
+            roots.append(n)
+    return roots
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_p: dense, ascending coefficients
+
+
+def pol_trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def pol_rem(f: list[int], mod: list[int], p: int) -> list[int]:
+    f = pol_trim([c % p for c in f])
+    inv_lead = pow(mod[-1], p - 2, p)
+    while len(f) >= len(mod):
+        coef = f[-1] * inv_lead % p
+        shift = len(f) - len(mod)
+        for i, mi in enumerate(mod):
+            f[shift + i] = (f[shift + i] - coef * mi) % p
+        pol_trim(f)
+    return f
+
+
+def pol_mulmod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:
+    prod = [0] * (len(f) + len(g))
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            prod[i + j] += fi * gj
+    return pol_rem(prod, mod, p)
+
+
+def pol_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
+    base = pol_rem(base, mod, p)
+    while exp:
+        if exp & 1:
+            result = pol_mulmod(result, base, mod, p)
+        base = pol_mulmod(base, base, mod, p)
+        exp >>= 1
+    return result
+
+
+def pol_gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    f, g = pol_trim(f[:]), pol_trim(g[:])
+    while g:
+        f, g = g, pol_rem(f, g, p)
+    return f
+
+
+def pol_fixed_degree(f: list[int], xq: list[int], p: int) -> int:
+    """deg gcd(f, T^q - T) mod p, given xq = T^q mod f: for q = p, the number
+    of distinct roots of f in F_p."""
+    g = xq + [0] * (2 - len(xq))
+    g[1] -= 1
+    return len(pol_gcd(f, g, p)) - 1
+
+
+def pol_root_count(f: list[int], p: int) -> int:
+    """Number of distinct roots in F_p of f; all of F_p for f = 0 mod p."""
+    f = pol_trim([c % p for c in f])
+    if len(f) <= 1:
+        return 0 if f else p
+    return pol_fixed_degree(f, pol_powmod([0, 1], p, f, p), p)

@@ -187,8 +187,8 @@ def _cmd_lratio(args) -> int:
     return 0
 
 
-def _cmd_certify(args, deep: bool) -> int:
-    if deep:
+def _cmd_certify(args) -> int:
+    if args.command == "deep-certify":
         cert = deep_certificate(args.family, args.d, args.p, sample_bound=args.sample_bound, **_knobs(args))
     else:
         cert = check_theorem(args.family, args.d, args.p, **_knobs(args))
@@ -284,6 +284,36 @@ def _cmd_crosscheck(args) -> int:
 # argument parsing
 
 
+# every option but --json, given only to the subcommands that read it
+_OPTIONS = {
+    "strict": (("--strict",), {"action": "store_true", "help": "exit 1 on non-applying certificates"}),
+    "nmax_cap": (("--nmax-cap",), {"dest": "nmax_cap", "type": int, "default": 10**6}),
+    "tolerance": (("--tolerance",), {"type": float, "default": 1e-6}),
+    "sample_bound": (("--sample-bound",), {"dest": "sample_bound", "type": int, "default": 10_000}),
+    "pmax": (("--pmax",), {"type": int, "default": 100}),
+    "family": (("--family",), {"required": True}),
+    "d": (("--d",), {"type": int, "required": True}),
+    "p": (("--p",), {"type": int, "required": True}),
+    "curve_family": (("--family",), {"help": "15 or 21"}),
+    "twist": (("--twist", "--d"), {"dest": "twist", "type": int, "help": "twist parameter d"}),
+    "curve": (("--curve",), {"help": 'explicit model "a1,a2,a3,a4,a6"'}),
+    "which": (("--which",), {"type": int, "required": True, "choices": (1, 2)}),
+    "file": (("--file",), {"required": True, "help": "path, or - for stdin"}),
+}
+_SERIES = ("nmax_cap", "tolerance")
+_CURVE = ("curve_family", "twist", "curve")
+_CERTIFY = ("strict", *_SERIES, "family", "d", "p")
+_SUBCOMMANDS = (
+    ("invariants", "model invariants, conductor, torsion", _cmd_invariants, _CURVE),
+    ("lratio", "L(E,1), period and recognized ratio", _cmd_lratio, (*_SERIES, *_CURVE)),
+    ("certify", "headline hypothesis certificate", _cmd_certify, _CERTIFY),
+    ("deep-certify", "per-prime certificate (ordinary/supersingular)", _cmd_certify, (*_CERTIFY, "sample_bound")),
+    ("admissible", "excluded prime set for a twist", _cmd_admissible, ("pmax", *_SERIES, "family", "d")),
+    ("table", "reproduce golden table 1 or 2", _cmd_table, (*_SERIES, "which")),
+    ("crosscheck", "recompute rows of an external curve table", _cmd_crosscheck, ("file",)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistcheck",
@@ -291,57 +321,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "for quadratic twists of the curves 15A1 and 21A1.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, curve=False, family_required=True):
+    for name, help_text, func, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="line-delimited JSON output")
-        p.add_argument("--strict", action="store_true", help="exit 1 on non-applying certificates")
-        p.add_argument("--nmax-cap", dest="nmax_cap", type=int, default=10**6)
-        p.add_argument("--tolerance", type=float, default=1e-6)
-        p.add_argument("--sample-bound", dest="sample_bound", type=int, default=10_000)
-        p.add_argument("--pmax", type=int, default=100)
-        if curve:
-            p.add_argument("--family", help="15 or 21")
-            p.add_argument("--twist", "--d", dest="twist", type=int, help="twist parameter d")
-            p.add_argument("--curve", help='explicit model "a1,a2,a3,a4,a6"')
-
-    p_inv = sub.add_parser("invariants", help="model invariants, conductor, torsion")
-    common(p_inv, curve=True)
-    p_inv.set_defaults(func=_cmd_invariants)
-
-    p_lr = sub.add_parser("lratio", help="L(E,1), period and recognized ratio")
-    common(p_lr, curve=True)
-    p_lr.set_defaults(func=_cmd_lratio)
-
-    p_c = sub.add_parser("certify", help="headline hypothesis certificate")
-    common(p_c)
-    p_c.add_argument("--family", required=True)
-    p_c.add_argument("--d", type=int, required=True)
-    p_c.add_argument("--p", type=int, required=True)
-    p_c.set_defaults(func=lambda a: _cmd_certify(a, deep=False))
-
-    p_dc = sub.add_parser("deep-certify", help="per-prime certificate (ordinary/supersingular)")
-    common(p_dc)
-    p_dc.add_argument("--family", required=True)
-    p_dc.add_argument("--d", type=int, required=True)
-    p_dc.add_argument("--p", type=int, required=True)
-    p_dc.set_defaults(func=lambda a: _cmd_certify(a, deep=True))
-
-    p_a = sub.add_parser("admissible", help="excluded prime set for a twist")
-    common(p_a)
-    p_a.add_argument("--family", required=True)
-    p_a.add_argument("--d", type=int, required=True)
-    p_a.set_defaults(func=_cmd_admissible)
-
-    p_t = sub.add_parser("table", help="reproduce golden table 1 or 2")
-    common(p_t)
-    p_t.add_argument("--which", type=int, required=True, choices=(1, 2))
-    p_t.set_defaults(func=_cmd_table)
-
-    p_x = sub.add_parser("crosscheck", help="recompute rows of an external curve table")
-    common(p_x)
-    p_x.add_argument("--file", required=True, help="path, or - for stdin")
-    p_x.set_defaults(func=_cmd_crosscheck)
-
+        for option in options:
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

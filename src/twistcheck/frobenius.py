@@ -40,25 +40,15 @@ class ApRecord:
     kind: str
 
 
-def _count_points_brute(a: tuple[int, ...], p: int) -> int:
-    a1, a2, a3, a4, a6 = a
-    n = 1  # point at infinity
-    for x in range(p):
-        rhs = (x**3 + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y) % p == rhs:
-                n += 1
-    return n
-
-
 def count_points(E: CurveModel, p: int) -> int:
     """#E~(F_p) for a prime of good reduction (E minimal at p).
 
     For odd p this is p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6).
     """
-    a = E.integer_ainvs()
     if p == 2:
-        return _count_points_brute(a, 2)
+        a1, a2, a3, a4, a6 = E.integer_ainvs()
+        pairs = ((x, y) for x in (0, 1) for y in (0, 1))
+        return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0 for x, y in pairs)
     x = np.arange(p, dtype=np.int64)
     g = (4 * x + int(E.b2) % p) % p
     g = (g * x + 2 * int(E.b4) % p) % p
@@ -72,11 +62,12 @@ def count_points(E: CurveModel, p: int) -> int:
 @cache
 def ap(E: CurveModel, p: int) -> ApRecord:
     """Trace of Frobenius at p (E must be integral and minimal at p)."""
-    if not E.is_integral or not is_minimal_at(E, p):
+    if not E.is_integral:
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")
-    disc = int(E.discriminant)
-    if disc % p:
+    if int(E.discriminant) % p:  # an integral model is minimal at p when p does not divide disc
         return ApRecord(p, p + 1 - count_points(E, p), GOOD)
+    if not is_minimal_at(E, p):
+        raise NotMinimalAtP(f"model {E} is not minimal at {p}")
     additive = E.c4 == 0 or valuation(E.c4, p) > 0
     if additive:
         return ApRecord(p, 0, ADDITIVE)

@@ -3,9 +3,9 @@ Tamagawa products, and the closed-form conductor of a quadratic twist of a
 semistable curve.
 
 The per-prime routine works on exact integers and performs the classical
-step-by-step translations.  Closed-form translations are used at p >= 5;
-at p = 2 and p = 3 the (tiny) residue searches are done exhaustively, which
-sidesteps every characteristic-2/3 special case.
+step-by-step translations.  Roots mod p are counted by arith; repeated
+roots and, at p >= 5, the translations are closed forms.  At p = 2 and 3 the
+(tiny) residue searches for the translations are done exhaustively.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .arith import (
     NotSquarefree,
     factorize,
     is_squarefree,
-    kronecker,
+    pol_root_count,
     quad_field_data,
     valuation,
 )
@@ -63,36 +63,9 @@ class ConductorReport:
 # small mod-p helpers
 
 
-def _quadroots(a: int, b: int, c: int, p: int) -> bool:
-    """Does a y^2 + b y + c have a root mod p?"""
-    if p == 2:
-        return (c % 2 == 0) or ((a + b + c) % 2 == 0)
-    if a % p == 0:
-        return (b % p != 0) or (c % p == 0)
-    return kronecker(b * b - 4 * a * c, p) >= 0
-
-
 def _double_root_of_quadratic(a: int, b: int, c: int, p: int) -> int:
-    """The (assumed) double root of a y^2 + b y + c mod p."""
-    if p == 2:
-        for y in (0, 1):
-            if (a * y * y + b * y + c) % 2 == 0:
-                return y
-        raise ArithmeticError("quadratic has no root mod 2")
-    return (-b * pow(2 * a, p - 2, p)) % p
-
-
-def _cubic_root_count(b: int, c: int, d: int, p: int) -> int:
-    """Number of distinct roots of T^3 + b T^2 + c T + d in F_p (p small here)."""
-    return sum(1 for t in range(p) if (((t + b) * t + c) * t + d) % p == 0)
-
-
-def _cubic_repeated_root(b: int, c: int, d: int, p: int) -> int:
-    """A root of T^3 + b T^2 + c T + d with multiplicity >= 2 mod p."""
-    for t in range(p):
-        if (((t + b) * t + c) * t + d) % p == 0 and (3 * t * t + 2 * b * t + c) % p == 0:
-            return t
-    raise ArithmeticError("cubic has no repeated root mod p")
+    """The double root of a y^2 + b y + c mod p, a a unit: -b/(2a), or c/a at p = 2."""
+    return c * a % 2 if p == 2 else -b * pow(2 * a, -1, p) % p
 
 
 def _move_singular_point(a: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -162,7 +135,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
 
     if b2 % p:
         # multiplicative: tangent directions split iff T^2 + a1 T - a2 splits
-        split = _quadroots(1, a1, -a2, p)
+        split = pol_root_count([-a2, a1, 1], p) > 0
         if split:
             c = n
         else:
@@ -175,7 +148,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
     if b8 % p3:
         return LocalData(p, "III", n - 1, 2, ADDITIVE, n)
     if b6 % p3:
-        c = 3 if _quadroots(1, a3 // p, -(a6 // p2), p) else 1
+        c = 3 if pol_root_count([-(a6 // p2), a3 // p, 1], p) else 1
         return LocalData(p, "IV", n - 2, c, ADDITIVE, n)
 
     a = _prepare_step7(a, p)
@@ -188,12 +161,13 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
 
     if w % p:
         # P(T) has three distinct roots
-        c = 1 + _cubic_root_count(b % p, cc % p, d % p, p)
+        c = 1 + pol_root_count([d % p, cc % p, b % p, 1], p)
         return LocalData(p, "I0*", n - 4, c, ADDITIVE, n)
 
     if x % p:
-        # double root: shift it to T = 0, then walk the I_m* chain
-        r0 = _cubic_repeated_root(b % p, cc % p, d % p, p)
+        # double root (9d - bc) / (2(b^2 - 3c)), or c at p = 2: shift it to T = 0,
+        # then walk the I_m* chain
+        r0 = cc % 2 if p == 2 else (9 * d - b * cc) * pow(-2 * x, -1, p) % p
         a = rst(a, r0 * p, 0, 0)
         a1, a2, a3, a4, a6 = a
         if not (a2 % p == 0 and a2 % p2 != 0 and a4 % p3 == 0 and a6 % p4 == 0):
@@ -205,7 +179,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
                 a3k = a3 // p ** (k + 1)
                 a6k = a6 // p ** (2 * k + 2)
                 if (a3k * a3k + 4 * a6k) % p:
-                    ck = 4 if _quadroots(1, a3k, -a6k, p) else 2
+                    ck = 4 if pol_root_count([-a6k, a3k, 1], p) else 2
                     return LocalData(p, f"I{m}*", n - 4 - m, ck, ADDITIVE, n)
                 gam = _double_root_of_quadratic(1, a3k, -a6k, p)
                 a = rst(a, 0, 0, gam * p ** (k + 1))
@@ -215,7 +189,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
                 a4k = a4 // p ** (k + 2)
                 a6k = a6 // p ** (2 * k + 3)
                 if (a4k * a4k - 4 * a21 * a6k) % p:
-                    ck = 4 if _quadroots(a21, a4k, a6k, p) else 2
+                    ck = 4 if pol_root_count([a6k, a4k, a21], p) else 2
                     return LocalData(p, f"I{m}*", n - 4 - m, ck, ADDITIVE, n)
                 delt = _double_root_of_quadratic(a21, a4k, a6k, p)
                 a = rst(a, delt * p ** (k + 1), 0, 0)
@@ -224,11 +198,8 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
             if m > n:
                 raise ArithmeticError("I_m* chain failed to terminate")
 
-    # triple root: shift it to T = 0
-    if p in (2, 3):
-        r0 = _cubic_repeated_root(b % p, cc % p, d % p, p)
-    else:
-        r0 = (-b * pow(3, p - 2, p)) % p
+    # triple root -b/3, or -d at p = 3: shift it to T = 0
+    r0 = -d % 3 if p == 3 else -b * pow(3, -1, p) % p
     a = rst(a, r0 * p, 0, 0)
     a1, a2, a3, a4, a6 = a
     if not (a2 % p2 == 0 and a4 % p3 == 0 and a6 % p4 == 0):
@@ -237,7 +208,7 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
     a32 = a3 // p2
     a64 = a6 // p4
     if (a32 * a32 + 4 * a64) % p:
-        c = 3 if _quadroots(1, a32, -a64, p) else 1
+        c = 3 if pol_root_count([-a64, a32, 1], p) else 1
         return LocalData(p, "IV*", n - 6, c, ADDITIVE, n)
     gam = _double_root_of_quadratic(1, a32, -a64, p)
     a = rst(a, 0, 0, gam * p2)

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
-from .arith import valuation
+from .arith import real_cubic_roots, valuation
 from .curves import CurveModel, SingularCurve, minimal_model
 from .frobenius import an_coefficients
 from .local_invariants import conductor
@@ -56,49 +54,18 @@ def _agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _polished_roots(b2: float, b4: float, b6: float):
-    """Roots of 4x^3 + b2 x^2 + 2 b4 x + b6, Newton-polished in float64."""
-    roots = np.roots([4.0, b2, 2.0 * b4, b6])
-
-    def g(x):
-        return ((4.0 * x + b2) * x + 2.0 * b4) * x + b6
-
-    def dg(x):
-        return (12.0 * x + 2.0 * b2) * x + 2.0 * b4
-
-    polished = []
-    for z in roots:
-        if abs(z.imag) > 1e-7 * (1.0 + abs(z)):
-            polished.append(complex(z))
-            continue
-        x = float(z.real)
-        for _ in range(60):
-            d = dg(x)
-            if d == 0.0:
-                break
-            step = g(x) / d
-            x -= step
-            if abs(step) <= 1e-17 * (1.0 + abs(x)):
-                break
-        polished.append(complex(x, 0.0))
-    return polished
-
-
 def period_of_model(E: CurveModel) -> float:
     """Real-locus measure of this exact model (no minimalization)."""
-    b2, b4, b6 = float(E.b2), float(E.b4), float(E.b6)
     disc = E.discriminant
     if disc == 0:
         raise SingularCurve(f"singular model {E}")
-    roots = _polished_roots(b2, b4, b6)
+    roots = real_cubic_roots(4, E.b2, 2 * E.b4, E.b6)
     if disc > 0:
-        es = sorted((z.real for z in roots), reverse=True)
-        e1, e2, e3 = es
+        e1, e2, e3 = roots
         omega1 = math.pi / _agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2))
         return 2.0 * omega1
-    e1 = max((z.real for z in roots if abs(z.imag) < 1e-6 * (1.0 + abs(z))), default=None)
-    if e1 is None:
-        raise ArithmeticError("no real root found for negative discriminant")
+    (e1,) = roots
+    b2, b4 = float(E.b2), float(E.b4)
     # divide out the real root: x^2 + px + q holds the complex pair
     pq_p = e1 + b2 / 4.0
     pq_q = b4 / 2.0 + e1 * pq_p

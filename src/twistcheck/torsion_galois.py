@@ -2,9 +2,9 @@
 
 Torsion follows the classical two-step contract: bound the order by the gcd
 of reduction counts at several good odd primes, then realize the group by an
-integral point search (y = 0 or y^2 dividing the discriminant) on the scaled
-short model Y^2 = X^3 - 27 c4 X - 54 c6, verifying orders with the exact
-group law.
+integral point search (Lutz-Nagell: Y = 0 or Y^2 dividing 4 A^3 + 27 B^2)
+on the scaled short model Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6,
+verifying orders with the exact group law.
 
 Surjectivity mod l >= 5 is certified from Frobenius trace/determinant pairs:
 one witness whose characteristic polynomial is irreducible (nonsquare
@@ -24,14 +24,23 @@ of GL2(F_3) with full projective image and full determinant is everything
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
-from .arith import divisors_from_factorization, factorize, is_prime, kronecker, sieve_primes
+from .arith import (
+    divisors_from_factorization,
+    integer_cubic_roots,
+    is_prime,
+    kronecker,
+    pol_fixed_degree,
+    pol_gcd,
+    pol_powmod,
+    pol_trim,
+    sieve_primes,
+)
 from .curves import (
     CurveModel,
     Point,
@@ -76,55 +85,32 @@ class GaloisImageVerdict:
 # torsion
 
 
-def _integer_roots_depressed_cubic(A: int, C: int) -> list[int]:
-    """Integer roots of X^3 + A X + C, exactly (float seeds, exact checks)."""
-    roots: set[int] = set()
-    seeds = np.roots([1.0, 0.0, float(A), float(C)])
-    for z in seeds:
-        if abs(z.imag) > 1e-6 * (1.0 + abs(z.real)):
-            continue
-        n0 = round(z.real)
-        for n in range(n0 - 2, n0 + 3):
-            if n**3 + A * n + C == 0:
-                roots.add(n)
-    return sorted(roots)
-
-
 @cache
 def torsion_subgroup(E: CurveModel) -> TorsionStructure:
     """Exact rational torsion subgroup (generators live on the minimal model)."""
     M = minimal_model(E)
 
-    # (i) order bound from reductions at eight good odd primes
-    disc = int(M.discriminant)
-    bound = 0
-    seen = 0
-    for p in sieve_primes(10_000):
-        if p == 2 or disc % p == 0:
-            continue
-        bound = math.gcd(bound, count_points(M, p))
-        seen += 1
-        if seen >= 8:
-            break
+    local = conductor(E).local_data  # one entry for each prime dividing disc
+    bad = {ld.p for ld in local}
 
-    # (ii) Lutz-Nagell realization on the scaled short model
-    c4, c6 = int(M.c4), int(M.c6)
-    A, B = -27 * c4, -54 * c6
-    disc_s = -16 * (4 * A**3 + 27 * B * B)
-    square_part = 1
-    for p, e in factorize(disc_s):
-        square_part *= p ** (e // 2)
-    ys = [0] + divisors_from_factorization(factorize(square_part))
-    b2 = int(M.b2)
-    a1, a3 = int(M.a1), int(M.a3)
+    # (i) order bound from reductions at eight good odd primes
+    good = (p for p in sieve_primes(10_000) if p != 2 and p not in bad)
+    bound = math.gcd(*(count_points(M, p) for p in itertools.islice(good, 8)))
+
+    # (ii) Lutz-Nagell realization on the scaled short model Y^2 = X^3 + A X + B:
+    # Y = 0 or Y^2 | 4 A^3 + 27 B^2 = -2^8 3^12 disc
+    A, B = -27 * int(M.c4), -54 * int(M.c6)
+    exps = {2: 8, 3: 12}
+    for ld in local:
+        exps[ld.p] = exps.get(ld.p, 0) + ld.vp_disc
+    ys = [0] + divisors_from_factorization([(p, e // 2) for p, e in exps.items()])
 
     points: set[tuple[Fraction, Fraction]] = set()
     for y in ys:
-        for X in _integer_roots_depressed_cubic(A, B - y * y):
+        for X in integer_cubic_roots(A, B - y * y):
             for Y in ({0} if y == 0 else {y, -y}):
-                x = Fraction(X - 3 * b2, 36)
-                yy = Fraction(Y - 108 * (a1 * x + a3), 216)
-                P = (x, yy)
+                x = (X - 3 * M.b2) / 36
+                P = (x, (Y - 108 * (M.a1 * x + M.a3)) / 216)
                 if on_curve(M, P) and point_order(M, P, 12) is not None:
                     points.add(P)
 
@@ -172,7 +158,7 @@ def two_torsion_rational(E: CurveModel) -> bool:
     """True iff all 2-torsion is rational (the 2-division cubic splits over Q)."""
     M = minimal_model(E)
     A, B = -27 * int(M.c4), -54 * int(M.c6)
-    return len(_integer_roots_depressed_cubic(A, B)) == 3
+    return len(integer_cubic_roots(A, B)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -239,71 +225,6 @@ def _mod3_image(M: CurveModel, N: int, sample_bound: int) -> GaloisImageVerdict:
     return GaloisImageVerdict(3, verdict, witnesses, sample_bound)
 
 
-# dense univariate polynomial arithmetic over F_p (ascending coefficients)
-
-
-def _pol_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pol_mulmod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                prod[i + j] = (prod[i + j] + fi * gj) % p
-    return _pol_rem(prod, mod, p)
-
-
-def _pol_rem(f: list[int], mod: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    _pol_trim(f)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(f) - 1 >= dm:
-        coef = f[-1] * inv_lead % p
-        shift = len(f) - 1 - dm
-        for i, mi in enumerate(mod):
-            f[shift + i] = (f[shift + i] - coef * mi) % p
-        _pol_trim(f)
-    return f
-
-
-def _pol_powmod_x(exp: int, mod: list[int], p: int) -> list[int]:
-    """x^exp mod (mod, p)."""
-    return _pol_powmod([0, 1], exp, mod, p)
-
-
-def _pol_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pol_rem(base[:], mod, p)
-    while exp:
-        if exp & 1:
-            result = _pol_mulmod(result, base, mod, p)
-        base = _pol_mulmod(base, base, mod, p)
-        exp >>= 1
-    return result
-
-
-def _pol_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = _pol_trim(f[:]), _pol_trim(g[:])
-    while g:
-        f = _pol_rem(f, g, p)
-        f, g = g, _pol_trim(f)
-    return f
-
-
-def _pol_sub(f: list[int], g: list[int], p: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, fi in enumerate(f):
-        out[i] = fi % p
-    for i, gi in enumerate(g):
-        out[i] = (out[i] - gi) % p
-    return _pol_trim(out)
-
-
 def _quartic_frobenius_pattern(coeffs: tuple[int, ...], p: int):
     """Factorization degree pattern of a quartic mod p, or None if inseparable.
 
@@ -313,13 +234,12 @@ def _quartic_frobenius_pattern(coeffs: tuple[int, ...], p: int):
     f = [c % p for c in coeffs]
     if f[-1] == 0:
         return None
-    fp = _pol_trim([(i * c) % p for i, c in enumerate(f)][1:])
-    if len(_pol_gcd(f, fp, p)) - 1 != 0:
+    fp = pol_trim([(i * c) % p for i, c in enumerate(f)][1:])
+    if len(pol_gcd(f, fp, p)) - 1 != 0:
         return None  # repeated roots: skip this prime
-    xp = _pol_powmod_x(p, f, p)
-    r1 = len(_pol_gcd(f, _pol_sub(xp, [0, 1], p), p)) - 1
-    xp2 = _pol_powmod(xp, p, f, p)
-    r2 = len(_pol_gcd(f, _pol_sub(xp2, [0, 1], p), p)) - 1
+    xp = pol_powmod([0, 1], p, f, p)
+    r1 = pol_fixed_degree(f, xp, p)
+    r2 = pol_fixed_degree(f, pol_powmod(xp, p, f, p), p)
     if r1 == 0 and r2 == 0:
         return (4,)
     if r1 == 1 and r2 == 1:

@@ -8,10 +8,14 @@ from twistcheck.arith import (
     NotSquarefree,
     ZeroInput,
     factorize,
+    integer_cubic_roots,
+    iroot,
     is_prime,
     is_squarefree,
     kronecker,
+    pol_root_count,
     quad_field_data,
+    real_cubic_roots,
     sieve_primes,
     valuation,
 )
@@ -46,11 +50,15 @@ class TestFactorize:
     @pytest.mark.parametrize(
         "n,expect",
         [
-            # cofactors left by trial division to 10^6, split by Pollard-Brent
+            # cofactors left by trial division, split by Pollard-Brent
             (21502239136429577093, [(4616039, 1), (4658158030387, 1)]),
             (5879287403719, [(1464277, 1), (4015147, 1)]),
             (2**5 * 1000003**3 * 1000033, [(2, 5), (1000003, 3), (1000033, 1)]),
             ((2**31 - 1) ** 2 * (2**61 - 1), [(2**31 - 1, 2), (2**61 - 1, 1)]),
+            # exact powers, found by integer k-th roots before rho
+            ((10**11 + 3) ** 6, [(10**11 + 3, 6)]),
+            (2**3 * (10**16 + 61) ** 6, [(2, 3), (10**16 + 61, 6)]),
+            (((10**9 + 7) * (10**9 + 9)) ** 2, [(10**9 + 7, 2), (10**9 + 9, 2)]),
         ],
     )
     def test_large_cofactors(self, n, expect):
@@ -125,6 +133,54 @@ class TestKronecker:
                 if p == 2 or D % p == 0:
                     continue
                 assert kronecker(D, p) == brute_legendre(D, p), (D, p)
+
+
+class TestRoots:
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_iroot_is_exact_floor(self, k):
+        for r in (1, 2, 10**5 + 3, 10**16 + 61, 3**200):
+            for n in (r**k - 1, r**k, r**k + 1):
+                x = iroot(n, k)
+                assert x**k <= n < (x + 1) ** k
+
+    def test_integer_cubic_roots_match_brute_force(self):
+        # |roots| <= 2 max(sqrt 60, 30^(1/3)) < 16 (Fujiwara)
+        for A in range(-60, 61):
+            for C in range(-60, 61):
+                brute = [x for x in range(-16, 17) if x**3 + A * x + C == 0]
+                assert integer_cubic_roots(A, C) == brute, (A, C)
+
+    @pytest.mark.parametrize(
+        "r,s",
+        [(10**20 + 3, 10**20 + 7), (10**20 + 1, 10**20 + 2), (10**20, -(10**20) + 1), (3, 10**20)],
+    )
+    def test_three_integer_roots_near_1e20(self, r, s):
+        # (X - r)(X - s)(X + r + s), two of the roots only a few units apart
+        A, C = r * s - (r + s) ** 2, r * s * (r + s)
+        assert integer_cubic_roots(A, C) == sorted({r, s, -r - s})
+
+    @pytest.mark.parametrize("k", [10**20 + 7, -(10**20) - 3, 1, 0])
+    def test_double_root_near_1e20(self, k):
+        # (X - k)^2 (X + 2k): the discriminant is 0
+        assert integer_cubic_roots(-3 * k * k, 2 * k**3) == sorted({k, -2 * k})
+
+    def test_one_integer_root_beside_irrational_pair(self):
+        # (X - r)(X^2 + r X + B) with B chosen so that the pair is irrational
+        for r in (7, -10**18 - 9, 10**25 + 1):
+            B = -(r * r) - 1
+            assert integer_cubic_roots(B - r * r, -r * B) == [r]
+
+    def test_real_cubic_roots(self):
+        assert real_cubic_roots(1, 0, -7, 6) == [2.0, 1.0, -3.0]
+        assert real_cubic_roots(1, 0, 0, -8) == [2.0]
+        (x,) = real_cubic_roots(4, 1, 2, -3)
+        assert abs(((4 * x + 1) * x + 2) * x - 3) < 1e-14
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101])
+    def test_root_count_mod_p_matches_search(self, p):
+        for f in ([1, 0, 0, 1], [6, -5, 0, 1], [3, 1, 4, 1], [0, 0, 1], [2, 7, 1, 8, 2, 1]):
+            search = sum(1 for t in range(p) if sum(c * t**i for i, c in enumerate(f)) % p == 0)
+            assert pol_root_count(f, p) == search, (f, p)
 
 
 class TestQuadFieldData:

@@ -130,6 +130,12 @@ class TestCli:
         assert run_cli(capsys, [])[0] == 2
         assert run_cli(capsys, ["certify", "--family", "15"])[0] == 2
 
+    def test_options_belong_to_their_subcommand(self, capsys):
+        # table always checks admissible primes up to 100, so --pmax is refused
+        assert run_cli(capsys, ["table", "--which", "1", "--pmax", "50"])[0] == 2
+        assert run_cli(capsys, ["invariants", "--family", "15", "--nmax-cap", "10"])[0] == 2
+        assert run_cli(capsys, ["crosscheck", "--file", "-", "--strict"])[0] == 2
+
     def test_value_error_exit_1(self, capsys):
         rc, _, err = run_cli(capsys, ["admissible", "--family", "15", "--d", "5"])
         assert rc == 1

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import random_curves
@@ -154,6 +156,14 @@ class TestConductor:
     )
     def test_twist_rows(self, fam, d, N):
         assert conductor(quadratic_twist(base_curve(fam), d)).N == N
+
+    def test_twist_by_large_prime(self, x15):
+        # the I0* cubic at p = 10^9 + 7 is counted by a gcd, not by a scan of F_p
+        d = 10**9 + 7
+        start = time.perf_counter()
+        rep = conductor(quadratic_twist(x15, d))
+        assert time.perf_counter() - start < 1
+        assert rep.N == 2**4 * 3 * 5 * d**2
 
     def test_listed_primes_are_bad_primes(self, x15):
         M = quadratic_twist(x15, 6)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import random_curves
 from twistcheck.arith import is_squarefree, sieve_primes
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import count_points
+from twistcheck.local_invariants import conductor
 from twistcheck.torsion_galois import (
     SURJECTIVE,
     UNDETERMINED,
@@ -126,6 +128,34 @@ class TestTorsion:
                 from twistcheck.curves import point_order
 
                 assert modp_order(a, reduce_point(P, p), p) == point_order(M, P)
+
+    def test_no_numpy_root_finding(self, x15, x21, monkeypatch):
+        import numpy
+
+        from twistcheck.lseries import period_of_model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.roots called")
+
+        monkeypatch.setattr(numpy, "roots", refuse)
+        torsion_subgroup.cache_clear()
+        for E in (x15, x21, quadratic_twist(x21, 17)):
+            M = minimal_model(E)
+            assert torsion_subgroup(E).order in (4, 8)
+            assert two_torsion_rational(E)  # a twist keeps the 2-division field
+            assert period_of_model(M) > 0
+
+    def test_large_congruent_number_curve(self):
+        # y^2 = x^3 - m^2 x, m prime: full 2-torsion (0, 0), (+-m, 0), which on the
+        # scaled short model sits at X = 0, +-36m, beyond float precision
+        m = 10**16 + 61
+        E = CurveModel.from_ainvs((0, 0, 0, -m * m, 0))
+        start = time.perf_counter()
+        assert conductor(E).N == 2**5 * m * m
+        tor = torsion_subgroup(E)
+        assert time.perf_counter() - start < 5
+        assert tor.invariant_factors == (2, 2)
+        assert {P[0] for P in tor.generators} <= {0, m, -m}
 
     def test_trivial_torsion(self):
         E = CurveModel.from_ainvs((0, 0, 1, -1, 0))  # rank-1 curve 37a1, trivial torsion
