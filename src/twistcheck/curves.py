@@ -52,8 +52,9 @@ def rst(a, r, s, t):
 class CurveModel:
     """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    The b- and c-invariants and the discriminant are computed once, when the
-    model is built; equality and hashing look at the a-invariants only.
+    The b- and c-invariants, the discriminant, integrality and the hash are
+    computed once, when the model is built; equality and hashing look at the
+    a-invariants only.
     """
 
     a1: Fraction
@@ -68,13 +69,25 @@ class CurveModel:
     c4: Fraction = field(init=False, repr=False, compare=False)
     c6: Fraction = field(init=False, repr=False, compare=False)
     _discriminant: Fraction = field(init=False, repr=False, compare=False)
+    is_integral: bool = field(init=False, repr=False, compare=False)
+    _integer_invariants: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        ainvs = self.ainvs
+        integral = all(a.denominator == 1 for a in ainvs)
         # int arithmetic is an order of magnitude faster than Fraction arithmetic
-        a = self.integer_ainvs() if self.is_integral else self.ainvs
+        invs = weierstrass_invariants(tuple(map(int, ainvs)) if integral else ainvs)
         names = ("b2", "b4", "b6", "b8", "c4", "c6", "_discriminant")
-        for name, value in zip(names, weierstrass_invariants(a)):
+        for name, value in zip(names, invs):
             object.__setattr__(self, name, Fraction(value))
+        object.__setattr__(self, "is_integral", integral)
+        object.__setattr__(self, "_integer_invariants", invs if integral else None)
+        # Fraction.__hash__ is slow, and caches keyed on a model hash it per lookup
+        object.__setattr__(self, "_hash", hash(ainvs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_ainvs(cls, ainvs) -> "CurveModel":
@@ -97,14 +110,16 @@ class CurveModel:
             raise SingularCurve("j-invariant undefined: discriminant is 0")
         return self.c4**3 / disc
 
-    @property
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.ainvs)
-
     def integer_ainvs(self) -> tuple[int, ...]:
         if not self.is_integral:
             raise ValueError(f"model is not integral: {self.ainvs}")
         return tuple(int(a) for a in self.ainvs)
+
+    def integer_invariants(self) -> tuple[int, ...]:
+        """(b2, b4, b6, b8, c4, c6, discriminant) of an integral model, as ints."""
+        if self._integer_invariants is None:
+            raise ValueError(f"model is not integral: {self.ainvs}")
+        return self._integer_invariants
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(a) for a in self.ainvs) + "]"
@@ -135,7 +150,15 @@ def parse_ainvs(text: str) -> CurveModel:
     parts = [s.strip() for s in text.strip().strip("[]").split(",")]
     if len(parts) != 5:
         raise ValueError(f"expected 5 a-invariants, got {len(parts)}")
-    return CurveModel.from_ainvs([Fraction(s) for s in parts])
+    ainvs = []
+    for name, s in zip(("a1", "a2", "a3", "a4", "a6"), parts):
+        # int() and not Fraction(): Fraction("1e999999999") would build 10**999999999
+        num, slash, den = s.partition("/")
+        try:
+            ainvs.append(Fraction(int(num), int(den) if slash else 1))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{name} = {s!r} is not an integer or a fraction p/q") from None
+    return CurveModel.from_ainvs(ainvs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +293,13 @@ _BASE_J = {
 }
 
 
-@cache
 def base_curve(tag) -> CurveModel:
     """Global minimal model of 15A1 or 21A1, validated on first use."""
-    fam = Family.parse(tag)
+    return _validated_base_curve(Family.parse(tag))  # 15, "15" and Family.X15 share one entry
+
+
+@cache
+def _validated_base_curve(fam: Family) -> CurveModel:
     E = CurveModel.from_ainvs(_BASE_AINVS[fam])
     if E.j != _BASE_J[fam]:
         raise RuntimeError(f"embedded {fam.value} coefficients have wrong j-invariant")

@@ -1,12 +1,19 @@
 """Frobenius traces, Dirichlet coefficients and the ordinary/supersingular split.
 
-Good-prime traces come from one O(p) pass over x in F_p using a quadratic
-residue table (vectorized with numpy); the largest prime this package ever
-needs is a few times 10^4, so nothing fancier is warranted.
+#E(F_p) at a good prime is found in one of two ways.  Below BSGS_MIN_P it is
+an exact O(p) pass over x in F_p with a quadratic residue table (vectorized
+with numpy).  From BSGS_MIN_P up it is Shanks-Mestre baby-step giant-step in
+pure Python, O(p^(1/4)) group operations (Cohen, GTM 138, section 7.4; PARI's
+ellap does the same): every point tried rules out the traces in the Hasse
+interval whose group order does not kill it, and the count is returned only
+when one trace is left, so it is exact, not probable.  L-series of twists
+with conductors near 6 * 10^9 need primes up to about 5.6 * 10^5, where the
+O(p) pass costs about 40 ms a prime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -23,6 +30,10 @@ from .local_invariants import (
     conductor,
     tate_local,
 )
+
+# The measured crossover of the two counts (CHANGES.md).  BSGS needs p > 229:
+# only there does Mestre's theorem promise that one trace is left.
+BSGS_MIN_P = 700
 
 
 class BadReduction(ValueError):
@@ -41,22 +52,152 @@ class ApRecord:
 
 
 def count_points(E: CurveModel, p: int) -> int:
-    """#E~(F_p) for a prime of good reduction (E minimal at p).
+    """#E~(F_p) for a prime of good reduction (E integral and minimal at p).
 
-    For odd p this is p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6).
+    From BSGS_MIN_P up this is p + 1 - t, with t the trace of the short model
+    y^2 = x^3 - 27 c4 x - 54 c6, which is isomorphic to E over F_p.
     """
     if p == 2:
         a1, a2, a3, a4, a6 = E.integer_ainvs()
         pairs = ((x, y) for x in (0, 1) for y in (0, 1))
         return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0 for x, y in pairs)
+    if p < BSGS_MIN_P:
+        return _count_points_exact(E, p)
+    _, _, _, _, c4, c6, _ = E.integer_invariants()
+    return p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p)
+
+
+def _count_points_exact(E: CurveModel, p: int) -> int:
+    """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p, p odd."""
+    b2, b4, b6 = E.integer_invariants()[:3]
     x = np.arange(p, dtype=np.int64)
-    g = (4 * x + int(E.b2) % p) % p
-    g = (g * x + 2 * int(E.b4) % p) % p
-    g = (g * x + int(E.b6) % p) % p
+    g = (4 * x + b2 % p) % p
+    g = (g * x + 2 * b4 % p) % p
+    g = (g * x + b6 % p) % p
     table = np.zeros(p, dtype=np.int8)
     table[(x * x) % p] = 1
     chi = np.where(g == 0, 0, np.where(table[g] == 1, 1, -1))
     return p + 1 + int(chi.sum())
+
+
+# ---------------------------------------------------------------------------
+# Shanks-Mestre baby-step giant-step.  Points are affine pairs mod p on
+# y^2 = x^3 + a x + b, None is the origin; the group law never reads b.
+
+
+def _add(P, Q, a: int, p: int):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _neg(P, p: int):
+    return None if P is None else (P[0], -P[1] % p)
+
+
+def _mul(k: int, P, a: int, p: int):
+    if k < 0:
+        k, P = -k, _neg(P, p)
+    R = None
+    while k:
+        if k & 1:
+            R = _add(R, P, a, p)
+        k >>= 1
+        if k:
+            P = _add(P, P, a, p)
+    return R
+
+
+def _solutions(Q, R, count: int, a: int, p: int):
+    """Every k in [0, count) with k R = Q, ascending.
+
+    Baby steps j R, 0 <= j <= m, are stored by x; a giant step Q - c R that
+    meets j R or -j R gives k = c + j or c - j, told apart by y.  When a baby
+    step reaches the origin, a point of order 2 or an x already stored, R has
+    order o <= 2m, the stored steps hold all of <R> up to sign, and the
+    solutions are k0, k0 + o, ...  Otherwise o > 2m, so each giant window of
+    2m + 1 values of k holds at most one solution.
+    """
+    m = math.isqrt(count // 2) + 1
+    table: dict[int, tuple[int, int]] = {}
+    S = None
+    for j in range(1, m + 1):
+        S = _add(S, R, a, p)
+        if S is None:
+            order = j
+            break
+        x, y = S
+        hit = table.get(x)
+        if hit is not None:  # S = -(hit) R
+            order = j + hit[0]
+            break
+        table[x] = (j, y)
+        if y == 0:
+            order = 2 * j
+            break
+    else:
+        found = []
+        G = _add(Q, _neg(S, p), a, p)  # Q - m R
+        step = _neg(_add(_add(S, S, a, p), R, a, p), p)  # -(2m + 1) R
+        for c in range(m, count + m, 2 * m + 1):
+            if G is None:
+                found.append(c)
+            elif (hit := table.get(G[0])) is not None:
+                found.append(c + hit[0] if hit[1] == G[1] else c - hit[0])
+            G = _add(G, step, a, p)
+        return [k for k in found if 0 <= k < count]
+    if Q is None:
+        k0 = 0
+    elif (hit := table.get(Q[0])) is not None:
+        k0 = hit[0] if hit[1] == Q[1] else -hit[0] % order
+    else:
+        return range(0)
+    return range(k0, count, order)
+
+
+def _trace_bsgs(A: int, B: int, p: int) -> int:
+    """Trace t of y^2 = x^3 + A x + B over F_p, nonsingular, p > 229.
+
+    The traces still possible are t = first + step k for 0 <= k < count,
+    at first the Hasse interval |t| <= 2 sqrt(p).  Points come from x = 0,
+    1, 2, ...: when f = x^3 + A x + B is nonzero, (x f, f^2) lies on
+    y^2 = x^3 + A f^2 x + B f^3, which is the curve itself (order p + 1 - t)
+    when f is a square and its quadratic twist (order p + 1 + t) when not.
+    Each point keeps the candidates whose group order kills it.  By
+    Mestre's theorem one point of the curve or of its twist leaves a single
+    candidate, so the loop ends, and the candidate left is the trace.
+    """
+    bound = math.isqrt(4 * p)
+    first, step, count = -bound, 1, 2 * bound + 1
+    for x in range(p):
+        f = (x * (x * x + A) + B) % p
+        if f == 0:
+            continue
+        s = 1 if pow(f, (p - 1) // 2, p) == 1 else -1
+        a = A * f * f % p
+        P = (x * f % p, f * f % p)
+        # order(t) = p + 1 - s (first + step k) kills P iff k (s step) P = (p + 1 - s first) P
+        ks = _solutions(_mul(p + 1 - s * first, P, a, p), _mul(s * step, P, a, p), count, a, p)
+        if not ks:
+            raise ArithmeticError(f"no trace in the Hasse interval fits at p = {p}: bad reduction?")
+        first += step * ks[0]
+        if len(ks) > 1:
+            step *= ks[1] - ks[0]
+        count = len(ks)
+        if count == 1:
+            return first
+    raise ArithmeticError(f"the trace at p = {p} is not determined (is p > 229?)")
 
 
 @cache
@@ -64,7 +205,7 @@ def ap(E: CurveModel, p: int) -> ApRecord:
     """Trace of Frobenius at p (E must be integral and minimal at p)."""
     if not E.is_integral:
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")
-    if int(E.discriminant) % p:  # an integral model is minimal at p when p does not divide disc
+    if E.integer_invariants()[6] % p:  # an integral model is minimal at p when p does not divide disc
         return ApRecord(p, p + 1 - count_points(E, p), GOOD)
     if not is_minimal_at(E, p):
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")

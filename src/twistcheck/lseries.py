@@ -147,7 +147,6 @@ def _l_series(E: CurveModel, nmax_cap: int, stretch: int = 1) -> tuple[float, in
 # algebraic ratio
 
 
-@cache
 def algebraic_l_ratio(
     E: CurveModel,
     nmax_cap: int = 10**6,
@@ -156,9 +155,16 @@ def algebraic_l_ratio(
     _stretch: int = 1,
 ) -> LRatioResult:
     """Exactly recognized L(E,1)/Omega (Fraction(0) when the value vanishes)."""
-    M = minimal_model(E)
+    # one cache entry per minimal model and knob values, however they are spelled
+    return _algebraic_l_ratio(minimal_model(E), nmax_cap, tolerance, max_denominator, _stretch)
+
+
+@cache
+def _algebraic_l_ratio(
+    M: CurveModel, nmax_cap: int, tolerance: float, max_denominator: int, stretch: int
+) -> LRatioResult:
     omega = period_of_model(M)
-    l1, w, n_max = _l_series(M, nmax_cap, stretch=_stretch)
+    l1, w, n_max = _l_series(M, nmax_cap, stretch=stretch)
     if w == -1 or abs(l1) < 1e-8 * omega:
         return LRatioResult(l1, omega, w, ZERO_RATIO, n_max)
     x = l1 / omega

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcheck.cli_io import cli_main, parse_curve_table
 
@@ -37,6 +39,31 @@ class TestParseCurveTable:
         rows, diags = parse_curve_table(["x A 1 [1,1,1,-10,-10]", "15 A 1 [1,1,1,-10,-10]"])
         assert len(rows) == 1
         assert diags[0][0] == 1
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=40),
+                st.text(alphabet="0123456789-+ [],#Axz_/.", max_size=40),
+                st.builds(
+                    "{} {} {} [{}] {} {}".format,
+                    *(st.text(alphabet="0123456789-x ,[]", max_size=8) for _ in range(6)),
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fuzz_rows_or_positioned_diagnostics(self, lines):
+        rows, diags = parse_curve_table(lines)
+        positions = [row.line_no for row in rows] + [line for line, _ in diags]
+        assert len(positions) == len(set(positions))
+        assert all(1 <= n <= len(lines) for n in positions)
+        for row in rows:
+            assert len(row.ainvs) == 5 and all(isinstance(a, int) for a in row.ainvs)
+        for n in range(1, len(lines) + 1):
+            if lines[n - 1].strip() and not lines[n - 1].strip().startswith("#"):
+                assert n in positions
 
     def test_stream_never_aborts(self):
         lines = ["garbage", "15 A 1 [1,1,1,-10,-10]", "[", "21 A 1 [1,0,0,-4,-1] zz"]
@@ -140,6 +167,9 @@ class TestCli:
         rc, _, err = run_cli(capsys, ["admissible", "--family", "15", "--d", "5"])
         assert rc == 1
         assert "error:" in err
+        rc, _, err = run_cli(capsys, ["invariants", "--curve", "0,0,0,0,1/0"])
+        assert rc == 1
+        assert "error: a6 = '1/0'" in err
 
     def test_crosscheck(self, capsys, tmp_path):
         good = tmp_path / "ref.txt"

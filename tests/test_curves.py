@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_curves
 from twistcheck.arith import NotSquarefree, valuation
 from twistcheck.curves import (
     CurveModel,
+    _validated_base_curve,
     Family,
     SingularCurve,
     base_curve,
@@ -169,5 +172,28 @@ def test_parse_ainvs():
     E = parse_ainvs("1,1,1,-10,-10")
     assert E.integer_ainvs() == (1, 1, 1, -10, -10)
     assert parse_ainvs(" [0, 0, 0, -1, 0] ").ainvs == CurveModel.from_ainvs((0, 0, 0, -1, 0)).ainvs
+    assert parse_ainvs("1/2,1/3,0,-1,1/4").a6 == Fraction(1, 4)
     with pytest.raises(ValueError):
         parse_ainvs("1,2,3")
+    for text, field in (("0,0,0,0,1/0", "a6"), ("0,x,0,0,1", "a2"), ("0,0,0,1e999999999,0", "a4")):
+        with pytest.raises(ValueError, match=field):
+            parse_ainvs(text)
+
+
+@given(st.text(alphabet="0123456789-+/ ,[]x.e", max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_parse_ainvs_raises_only_value_error(text):
+    try:
+        E = parse_ainvs(text)
+    except ValueError:
+        return
+    assert len(E.ainvs) == 5
+
+
+def test_base_curve_one_cache_entry_per_family():
+    _validated_base_curve.cache_clear()
+    E = base_curve(15)
+    assert base_curve("15") is E and base_curve(Family.X15) is E and base_curve(" x15") is E
+    base_curve(21)
+    info = _validated_base_curve.cache_info()
+    assert (info.misses, info.hits) == (2, 3)

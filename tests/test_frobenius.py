@@ -1,11 +1,19 @@
+import bisect
+import random
+
 import pytest
 
 from conftest import random_curves
 from twistcheck.arith import kronecker, quad_field_data, sieve_primes
-from twistcheck.curves import CurveModel, base_curve, quadratic_twist
+from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import (
+    BSGS_MIN_P,
     BadReduction,
     SmallPrime,
+    _add,
+    _count_points_exact,
+    _mul,
+    _solutions,
     an_coefficients,
     ap,
     count_points,
@@ -108,6 +116,82 @@ class TestAp:
                 if (2 * 15 * d) % p == 0:
                     continue
                 assert ap(Y, p).a_p == kronecker(D, p) * ap(x15, p).a_p, (d, p)
+
+
+def bsgs_primes(E: CurveModel, limit: int) -> list[int]:
+    """Good primes of E from BSGS_MIN_P to limit."""
+    disc = E.integer_invariants()[6]
+    return [p for p in sieve_primes(limit) if p >= BSGS_MIN_P and disc % p]
+
+
+class TestBsgs:
+    """count_points from BSGS_MIN_P up against the exact O(p) count."""
+
+    def test_threshold_is_above_mestre_bound(self):
+        assert BSGS_MIN_P > 229
+
+    def test_base_curves_every_good_prime(self, x15, x21):
+        for E in (x15, x21):
+            for p in bsgs_primes(E, 20000):
+                assert count_points(E, p) == _count_points_exact(E, p), (E, p)
+
+    def test_random_curves_and_twists_on_a_stride(self, x15, x21):
+        curves = [minimal_model(E) for E in random_curves(8, seed=5)]
+        curves += [minimal_model(E) for E in random_curves(4, seed=6, coeff_bound=300)]
+        curves += [quadratic_twist(x15, d) for d in (-1, 629)] + [quadratic_twist(x21, d) for d in (-3, 1093)]
+        for E in curves:
+            for p in bsgs_primes(E, 20000)[::40]:
+                assert count_points(E, p) == _count_points_exact(E, p), (E, p)
+
+    def test_primes_just_above_the_threshold(self):
+        curves = [minimal_model(E) for E in random_curves(12, seed=8)]
+        for E in curves:
+            for p in bsgs_primes(E, 2 * BSGS_MIN_P)[:6]:
+                assert count_points(E, p) == _count_points_exact(E, p), (E, p)
+
+    def test_supersingular_primes_of_15a1(self, x15):
+        for p in (983, 1303, 4799, 6263, 17231):
+            assert _count_points_exact(x15, p) == p + 1
+            assert ap(x15, p).a_p == 0
+            assert is_ordinary(x15, p) == "supersingular"
+
+    def test_full_rational_two_torsion(self):
+        E = CurveModel.from_ainvs((0, 0, 0, -1, 0))  # y^2 = x^3 - x, supersingular at p = 3 mod 4
+        for p in bsgs_primes(E, 6000)[::5]:
+            n = count_points(E, p)
+            assert n == _count_points_exact(E, p), p
+            assert n % 4 == 0 if p % 4 == 3 else n % 8 == 0
+
+    def test_prime_near_a_million(self, x15):
+        E = quadratic_twist(x15, 4999)
+        p = 999983
+        assert E.integer_invariants()[6] % p
+        assert count_points(E, p) == _count_points_exact(E, p)
+
+    def test_twist_compatibility_above_1e5(self, x15):
+        big = sieve_primes(600000)
+        primes = [*big[bisect.bisect(big, 10**5) :][:6], *big[-4:], 109943, 232751]
+        for d in (-1, 2, -7, 4999):
+            Y = quadratic_twist(x15, d)
+            for p in primes:  # chi_D(p) = (d/p) at odd p not dividing d
+                assert ap(Y, p).a_p == kronecker(d, p) * ap(x15, p).a_p, (d, p)
+
+    def test_solutions_against_brute_force(self):
+        # both branches: R of small order (k0, k0 + o, ...) and of large order
+        rng = random.Random(11)
+        p = 1009
+        for _ in range(60):
+            a, x = rng.randrange(p), rng.randrange(p)
+            f = (x**3 + a * x + 7) % p
+            if f == 0:
+                continue
+            P = (x * f % p, f * f % p)  # on y^2 = x^3 + a f^2 x + 7 f^3
+            af = a * f * f % p
+            R = _mul(rng.choice((1, 2, 3, 4, 6, 8, 12, 24)), P, af, p)
+            count = rng.randrange(1, 130)
+            Q = _mul(rng.randrange(count), R, af, p) if rng.random() < 0.8 else _add(R, P, af, p)
+            want = [k for k in range(count) if _mul(k, R, af, p) == Q]
+            assert list(_solutions(Q, R, count, af, p)) == want
 
 
 class TestAnCoefficients:

@@ -9,6 +9,7 @@ from conftest import random_curves
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist, u_scale
 from twistcheck.lseries import (
     RecognitionFailed,
+    _algebraic_l_ratio,
     algebraic_l_ratio,
     is_p_adic_unit,
     l_value_at_1,
@@ -110,6 +111,17 @@ class TestLValue:
         l1, w = l_value_at_1(x15)
         assert w == 1
         assert abs(l1 / real_period(x15) - 0.125) < 1e-9
+
+    def test_one_cache_entry_per_request(self, x15):
+        Ed = quadratic_twist(x15, 2)
+        _algebraic_l_ratio.cache_clear()
+        first = algebraic_l_ratio(Ed)
+        assert algebraic_l_ratio(Ed, nmax_cap=10**6, tolerance=1e-6) is first
+        assert algebraic_l_ratio(Ed, 10**6, 1e-6, 128) is first
+        assert algebraic_l_ratio(u_scale(Ed, 2)) is first  # a non-minimal model of the same curve
+        algebraic_l_ratio(Ed, tolerance=1e-8)
+        info = _algebraic_l_ratio.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
 
     def test_recognition_failure_surfaces(self, x15):
         with pytest.raises(RecognitionFailed):
