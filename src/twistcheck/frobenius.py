@@ -1,14 +1,17 @@
 """Frobenius traces, Dirichlet coefficients and the ordinary/supersingular split.
 
-#E(F_p) at a good prime is found in one of two ways.  Below BSGS_MIN_P it is
-an exact O(p) pass over x in F_p with a quadratic residue table (vectorized
-with numpy).  From BSGS_MIN_P up it is Shanks-Mestre baby-step giant-step in
-pure Python, O(p^(1/4)) group operations (Cohen, GTM 138, section 7.4; PARI's
-ellap does the same): every point tried rules out the traces in the Hasse
-interval whose group order does not kill it, and the count is returned only
-when one trace is left, so it is exact, not probable.  L-series of twists
-with conductors near 6 * 10^9 need primes up to about 5.6 * 10^5, where the
-O(p) pass costs about 40 ms a prime.
+#E(F_p) at a good prime p >= 5 not dividing c4 c6 comes from one trace shared
+by every curve with the same j-invariant mod p: E is a quadratic twist of
+y^2 = x^3 + K x + K over F_p (see count_points), so all quadratic twists of a
+curve read one cached trace per prime.  A trace is counted in one of two
+ways.  Below BSGS_MIN_P it is an exact O(p) character sum over x in F_p with a
+table of quadratic residues.  From BSGS_MIN_P up it is Shanks-Mestre
+baby-step giant-step, O(p^(1/4)) group operations (Cohen, GTM 138, section
+7.4; PARI's ellap does the same): every point tried rules out the traces in
+the Hasse interval whose group order does not kill it, and the count is
+returned only when one trace is left, so it is exact, not probable.  L-series
+of twists with conductors near 6 * 10^9 need primes up to about 5.6 * 10^5,
+where an O(p) pass would cost tens of milliseconds a prime.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-
-import numpy as np
 
 from .arith import kronecker, sieve_primes, smallest_prime_factors, valuation
 from .curves import CurveModel, is_minimal_at, minimal_model
@@ -31,9 +32,9 @@ from .local_invariants import (
     tate_local,
 )
 
-# The measured crossover of the two counts (CHANGES.md).  BSGS needs p > 229:
-# only there does Mestre's theorem promise that one trace is left.
-BSGS_MIN_P = 700
+# BSGS needs p > 229: only there does Mestre's theorem promise that one trace
+# is left.
+BSGS_MIN_P = 230
 
 
 class BadReduction(ValueError):
@@ -54,30 +55,44 @@ class ApRecord:
 def count_points(E: CurveModel, p: int) -> int:
     """#E~(F_p) for a prime of good reduction (E integral and minimal at p).
 
-    From BSGS_MIN_P up this is p + 1 - t, with t the trace of the short model
-    y^2 = x^3 - 27 c4 x - 54 c6, which is isomorphic to E over F_p.
+    For p >= 5 E is isomorphic over F_p to y^2 = x^3 + A x + B with
+    A = -27 c4 and B = -54 c6.  When A B != 0 mod p that is the quadratic
+    twist by A B (by u = B / A, up to squares) of y^2 = x^3 + K x + K with
+    K = A^3 / B^2 = -27 c4^3 / (4 c6^2), so #E~(F_p) = p + 1 - (2 c4 c6 / p)
+    t(K, p), and t(K, p) is cached on (K mod p, p).  At p = 2, 3 and where p
+    divides c4 c6 (j = 1728 or 0 mod p) E is counted directly.
     """
     if p == 2:
         a1, a2, a3, a4, a6 = E.integer_ainvs()
         pairs = ((x, y) for x in (0, 1) for y in (0, 1))
         return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0 for x, y in pairs)
+    b2, b4, b6, _, c4, c6, _ = E.integer_invariants()
+    c4, c6 = c4 % p, c6 % p
+    if p > 3 and c4 * c6 % p:
+        K = -27 * c4 * c4 * c4 * pow(4 * c6 * c6, -1, p) % p
+        return p + 1 - kronecker(2 * c4 * c6, p) * _shared_trace(K, p)
     if p < BSGS_MIN_P:
-        return _count_points_exact(E, p)
-    _, _, _, _, c4, c6, _ = E.integer_invariants()
+        return p + 1 + _char_sum(b2 % p, b4 % p, b6 % p, p)
     return p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p)
 
 
-def _count_points_exact(E: CurveModel, p: int) -> int:
-    """p + 1 + sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p, p odd."""
-    b2, b4, b6 = E.integer_invariants()[:3]
-    x = np.arange(p, dtype=np.int64)
-    g = (4 * x + b2 % p) % p
-    g = (g * x + 2 * b4 % p) % p
-    g = (g * x + b6 % p) % p
-    table = np.zeros(p, dtype=np.int8)
-    table[(x * x) % p] = 1
-    chi = np.where(g == 0, 0, np.where(table[g] == 1, 1, -1))
-    return p + 1 + int(chi.sum())
+@cache
+def _shared_trace(K: int, p: int) -> int:
+    """Trace of y^2 = x^3 + K x + K over F_p, p >= 5 and K (4 K + 27) != 0."""
+    if p < BSGS_MIN_P:
+        return -_char_sum(0, 2 * K, 4 * K, p)  # the b-invariants of the model
+    return _trace_bsgs(K, K, p)
+
+
+def _char_sum(b2: int, b4: int, b6: int, p: int) -> int:
+    """Sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p, p odd: #E~(F_p)
+    - p - 1 for the curve with these b-invariants."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, (p + 1) // 2):
+        chi[x * x % p] = 1
+    b4 *= 2
+    return sum(chi[(((4 * x + b2) * x + b4) * x + b6) % p] for x in range(p))
 
 
 # ---------------------------------------------------------------------------

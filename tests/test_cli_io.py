@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistcheck
 from twistcheck.cli_io import cli_main, parse_curve_table
 
 
@@ -189,3 +194,11 @@ class TestCli:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows[0]["ok"] is False  # torsion order 4 recomputes to 8
         assert rows[1]["ok"] is True  # conductor 960 confirms
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(twistcheck.__file__).resolve().parents[1]
+    code = "import sys, twistcheck.cli_io; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -3,23 +3,27 @@ import random
 
 import pytest
 
-from conftest import random_curves
-from twistcheck.arith import kronecker, quad_field_data, sieve_primes
+from conftest import exact_count, random_curves
+from twistcheck.arith import kronecker, prime_divisors, quad_field_data, sieve_primes
+from twistcheck.certify import reproduce_table
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import (
     BSGS_MIN_P,
     BadReduction,
     SmallPrime,
     _add,
-    _count_points_exact,
     _mul,
+    _shared_trace,
     _solutions,
+    _trace_bsgs,
     an_coefficients,
     ap,
     count_points,
     is_ordinary,
 )
 from twistcheck.local_invariants import ADDITIVE, GOOD, NotMinimalAtP
+from twistcheck.lseries import _algebraic_l_ratio, algebraic_l_ratio
+from twistcheck.torsion_galois import torsion_subgroup
 
 
 def naive_count(E: CurveModel, p: int) -> int:
@@ -125,7 +129,7 @@ def bsgs_primes(E: CurveModel, limit: int) -> list[int]:
 
 
 class TestBsgs:
-    """count_points from BSGS_MIN_P up against the exact O(p) count."""
+    """count_points from BSGS_MIN_P up against the exact O(p) reference."""
 
     def test_threshold_is_above_mestre_bound(self):
         assert BSGS_MIN_P > 229
@@ -133,7 +137,7 @@ class TestBsgs:
     def test_base_curves_every_good_prime(self, x15, x21):
         for E in (x15, x21):
             for p in bsgs_primes(E, 20000):
-                assert count_points(E, p) == _count_points_exact(E, p), (E, p)
+                assert count_points(E, p) == exact_count(E, p), (E, p)
 
     def test_random_curves_and_twists_on_a_stride(self, x15, x21):
         curves = [minimal_model(E) for E in random_curves(8, seed=5)]
@@ -141,17 +145,20 @@ class TestBsgs:
         curves += [quadratic_twist(x15, d) for d in (-1, 629)] + [quadratic_twist(x21, d) for d in (-3, 1093)]
         for E in curves:
             for p in bsgs_primes(E, 20000)[::40]:
-                assert count_points(E, p) == _count_points_exact(E, p), (E, p)
+                assert count_points(E, p) == exact_count(E, p), (E, p)
 
     def test_primes_just_above_the_threshold(self):
         curves = [minimal_model(E) for E in random_curves(12, seed=8)]
         for E in curves:
+            c4, c6 = E.integer_invariants()[4:6]
             for p in bsgs_primes(E, 2 * BSGS_MIN_P)[:6]:
-                assert count_points(E, p) == _count_points_exact(E, p), (E, p)
+                n = exact_count(E, p)
+                assert count_points(E, p) == n, (E, p)
+                assert p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p) == n, (E, p)  # E's own model, not its class
 
     def test_supersingular_primes_of_15a1(self, x15):
         for p in (983, 1303, 4799, 6263, 17231):
-            assert _count_points_exact(x15, p) == p + 1
+            assert exact_count(x15, p) == p + 1
             assert ap(x15, p).a_p == 0
             assert is_ordinary(x15, p) == "supersingular"
 
@@ -159,14 +166,14 @@ class TestBsgs:
         E = CurveModel.from_ainvs((0, 0, 0, -1, 0))  # y^2 = x^3 - x, supersingular at p = 3 mod 4
         for p in bsgs_primes(E, 6000)[::5]:
             n = count_points(E, p)
-            assert n == _count_points_exact(E, p), p
+            assert n == exact_count(E, p), p
             assert n % 4 == 0 if p % 4 == 3 else n % 8 == 0
 
     def test_prime_near_a_million(self, x15):
         E = quadratic_twist(x15, 4999)
         p = 999983
         assert E.integer_invariants()[6] % p
-        assert count_points(E, p) == _count_points_exact(E, p)
+        assert count_points(E, p) == exact_count(E, p)
 
     def test_twist_compatibility_above_1e5(self, x15):
         big = sieve_primes(600000)
@@ -192,6 +199,69 @@ class TestBsgs:
             Q = _mul(rng.randrange(count), R, af, p) if rng.random() < 0.8 else _add(R, P, af, p)
             want = [k for k in range(count) if _mul(k, R, af, p) == Q]
             assert list(_solutions(Q, R, count, af, p)) == want
+
+
+def good_primes(E: CurveModel, primes) -> list[int]:
+    disc = E.integer_invariants()[6]
+    return [p for p in primes if disc % p]
+
+
+# Both regimes of the trace: every odd prime below 600, then a stride to 2 * 10^4.
+SHARED_PRIMES = [*sieve_primes(600)[1:], *sieve_primes(20000)[109::50]]
+
+
+class TestSharedTrace:
+    """count_points through the trace shared by a j-invariant class, from
+    cleared caches, against the exact O(p) reference."""
+
+    def check(self, *curves) -> None:
+        _shared_trace.cache_clear()
+        for E in curves:
+            for p in good_primes(E, SHARED_PRIMES):
+                assert count_points(E, p) == exact_count(E, p), (E, p)
+
+    def test_base_curves(self, x15, x21):
+        for E in (x15, x21):
+            self.check(E)
+
+    @pytest.mark.parametrize("d", [-7, -3, -1, 2, 5, 629, 1093, 4999])
+    def test_twist_before_and_after_its_base(self, x15, x21, d):
+        for E in (x15, x21):
+            Y = quadratic_twist(E, d)
+            self.check(Y, E)
+            self.check(E, Y)
+            # one class: the second curve reads the first one's traces
+            assert _shared_trace.cache_info().misses <= len(SHARED_PRIMES)
+
+    def test_random_models(self):
+        for E in random_curves(6, seed=21) + random_curves(6, seed=22, coeff_bound=300):
+            self.check(minimal_model(E))
+
+    def test_j_0_and_1728_are_counted_directly(self):
+        for ainvs in ((0, 0, 1, 0, 0), (0, 0, 0, -1, 0)):  # c4 = 0, c6 = 0
+            self.check(CurveModel.from_ainvs(ainvs))
+            assert _shared_trace.cache_info().currsize == 0
+
+    def test_primes_dividing_c4_c6_and_3(self):
+        _shared_trace.cache_clear()
+        above = 0
+        for E in random_curves(40, seed=23, coeff_bound=300):
+            M = minimal_model(E)
+            c4, c6 = M.integer_invariants()[4:6]
+            for p in good_primes(M, [3, *(q for q in prime_divisors(c4 * c6 or 1) if 3 < q < 20000)]):
+                assert count_points(M, p) == exact_count(M, p), (M, p)
+                above += p >= BSGS_MIN_P
+        assert above and _shared_trace.cache_info().currsize == 0
+
+    def test_golden_tables_count_once_per_class_and_prime(self, x15, x21):
+        for fn in (_shared_trace, ap, _algebraic_l_ratio, torsion_subgroup):
+            fn.cache_clear()
+        bound = 0  # the primes up to each family's largest n_max: 518 + 600
+        for which, E in ((1, x15), (2, x21)):
+            report = reproduce_table(which)
+            n_max = max(algebraic_l_ratio(quadratic_twist(E, r.row.d)).n_max for r in report.rows)
+            bound += len(sieve_primes(n_max))
+        assert _shared_trace.cache_info().misses <= bound
 
 
 class TestAnCoefficients:
