@@ -15,7 +15,7 @@ from typing import Any
 
 from .arith import is_prime, is_squarefree, prime_divisors, sieve_primes, valuation
 from .curves import CurveModel, Family, base_curve, quadratic_twist
-from .frobenius import ap, is_ordinary
+from .frobenius import ap, is_ordinary, shared_traces
 from .local_invariants import conductor, tamagawa_product
 from .lseries import LRatioResult, algebraic_l_ratio, is_p_adic_unit
 from .tabledata import TABLE1, TABLE2, TableRow, factors_to_str
@@ -287,11 +287,13 @@ class TableReport:
         return all(r.match for r in self.rows)
 
 
+@shared_traces()
 def reproduce_table(which: int, **knobs) -> TableReport:
     """Recompute every cell of table 1 or 2 and compare with the golden rows.
 
     Documented errata are compared against the corrected value and keep their
-    annotation; nothing is silently fixed.
+    annotation; nothing is silently fixed.  The rows are twists of one curve,
+    so their point counts share one trace per prime (see shared_traces).
     """
     if which == 1:
         fam, rows = Family.X15, TABLE1

@@ -1,22 +1,27 @@
 """Frobenius traces, Dirichlet coefficients and the ordinary/supersingular split.
 
-#E(F_p) at a good prime p >= 5 not dividing c4 c6 comes from one trace shared
-by every curve with the same j-invariant mod p: E is a quadratic twist of
-y^2 = x^3 + K x + K over F_p (see count_points), so all quadratic twists of a
-curve read one cached trace per prime.  A trace is counted in one of two
-ways.  Below BSGS_MIN_P it is an exact O(p) character sum over x in F_p with a
-table of quadratic residues.  From BSGS_MIN_P up it is Shanks-Mestre
-baby-step giant-step, O(p^(1/4)) group operations (Cohen, GTM 138, section
-7.4; PARI's ellap does the same): every point tried rules out the traces in
-the Hasse interval whose group order does not kill it, and the count is
-returned only when one trace is left, so it is exact, not probable.  L-series
-of twists with conductors near 6 * 10^9 need primes up to about 5.6 * 10^5,
-where an O(p) pass would cost tens of milliseconds a prime.
+#E(F_p) is counted per curve and prime.  Inside a shared_traces() block, a
+good prime p >= 5 not dividing c4 c6 instead reads one trace shared by every
+curve with the same j-invariant mod p: E is a quadratic twist of
+y^2 = x^3 + K x + K over F_p (see count_points), so the quadratic twists of
+one curve counted in the block read one trace per prime.  The block bounds
+the sharing, so what one call costs does not depend on what earlier calls
+happened to count.  A trace is counted in one of two ways.  Below BSGS_MIN_P
+it is an exact O(p) character sum over x in F_p with a table of quadratic
+residues.  From BSGS_MIN_P up it is Shanks-Mestre baby-step giant-step,
+O(p^(1/4)) group operations (Cohen, GTM 138, section 7.4; PARI's ellap does
+the same): every point tried rules out the traces in the Hasse interval
+whose group order does not kill it, and the count is returned only when one
+trace is left, so it is exact, not probable.  L-series of twists with
+conductors near 6 * 10^9 need primes up to about 5.6 * 10^5, where an O(p)
+pass would cost tens of milliseconds a prime.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
@@ -36,6 +41,9 @@ from .local_invariants import (
 # is left.
 BSGS_MIN_P = 230
 
+# (K mod p, p) -> t(K, p) while a shared_traces() block is open, else None.
+_traces: dict[tuple[int, int], int] | None = None
+
 
 class BadReduction(ValueError):
     """Asked a good-reduction question at a bad prime."""
@@ -52,6 +60,22 @@ class ApRecord:
     kind: str
 
 
+@contextmanager
+def shared_traces() -> Iterator[dict[tuple[int, int], int]]:
+    """Share one trace per j-invariant class and prime among the count_points
+    calls in the block; it yields the traces counted so far.  A nested block
+    joins the open one, and the traces are dropped when the outer one ends."""
+    global _traces
+    if _traces is not None:
+        yield _traces
+        return
+    _traces = {}
+    try:
+        yield _traces
+    finally:
+        _traces = None
+
+
 def count_points(E: CurveModel, p: int) -> int:
     """#E~(F_p) for a prime of good reduction (E integral and minimal at p).
 
@@ -59,8 +83,9 @@ def count_points(E: CurveModel, p: int) -> int:
     A = -27 c4 and B = -54 c6.  When A B != 0 mod p that is the quadratic
     twist by A B (by u = B / A, up to squares) of y^2 = x^3 + K x + K with
     K = A^3 / B^2 = -27 c4^3 / (4 c6^2), so #E~(F_p) = p + 1 - (2 c4 c6 / p)
-    t(K, p), and t(K, p) is cached on (K mod p, p).  At p = 2, 3 and where p
-    divides c4 c6 (j = 1728 or 0 mod p) E is counted directly.
+    t(K, p).  Inside shared_traces() t(K, p) is counted once per (K mod p, p).
+    Elsewhere, and at p = 2, 3 and where p divides c4 c6 (j = 1728 or 0
+    mod p), E is counted directly.
     """
     if p == 2:
         a1, a2, a3, a4, a6 = E.integer_ainvs()
@@ -68,15 +93,17 @@ def count_points(E: CurveModel, p: int) -> int:
         return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0 for x, y in pairs)
     b2, b4, b6, _, c4, c6, _ = E.integer_invariants()
     c4, c6 = c4 % p, c6 % p
-    if p > 3 and c4 * c6 % p:
+    if _traces is not None and p > 3 and c4 * c6 % p:
         K = -27 * c4 * c4 * c4 * pow(4 * c6 * c6, -1, p) % p
-        return p + 1 - kronecker(2 * c4 * c6, p) * _shared_trace(K, p)
+        t = _traces.get((K, p))
+        if t is None:
+            t = _traces[K, p] = _shared_trace(K, p)
+        return p + 1 - kronecker(2 * c4 * c6, p) * t
     if p < BSGS_MIN_P:
         return p + 1 + _char_sum(b2 % p, b4 % p, b6 % p, p)
     return p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p)
 
 
-@cache
 def _shared_trace(K: int, p: int) -> int:
     """Trace of y^2 = x^3 + K x + K over F_p, p >= 5 and K (4 K + 27) != 0."""
     if p < BSGS_MIN_P:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import exact_count, random_curves
+from twistcheck import frobenius
 from twistcheck.arith import kronecker, prime_divisors, quad_field_data, sieve_primes
 from twistcheck.certify import reproduce_table
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
@@ -13,13 +14,13 @@ from twistcheck.frobenius import (
     SmallPrime,
     _add,
     _mul,
-    _shared_trace,
     _solutions,
     _trace_bsgs,
     an_coefficients,
     ap,
     count_points,
     is_ordinary,
+    shared_traces,
 )
 from twistcheck.local_invariants import ADDITIVE, GOOD, NotMinimalAtP
 from twistcheck.lseries import _algebraic_l_ratio, algebraic_l_ratio
@@ -211,14 +212,15 @@ SHARED_PRIMES = [*sieve_primes(600)[1:], *sieve_primes(20000)[109::50]]
 
 
 class TestSharedTrace:
-    """count_points through the trace shared by a j-invariant class, from
-    cleared caches, against the exact O(p) reference."""
+    """count_points through the trace shared by a j-invariant class, each case
+    in a fresh shared_traces() block, against the exact O(p) reference."""
 
-    def check(self, *curves) -> None:
-        _shared_trace.cache_clear()
-        for E in curves:
-            for p in good_primes(E, SHARED_PRIMES):
-                assert count_points(E, p) == exact_count(E, p), (E, p)
+    def check(self, *curves) -> dict:
+        with shared_traces() as traces:
+            for E in curves:
+                for p in good_primes(E, SHARED_PRIMES):
+                    assert count_points(E, p) == exact_count(E, p), (E, p)
+        return traces
 
     def test_base_curves(self, x15, x21):
         for E in (x15, x21):
@@ -229,9 +231,8 @@ class TestSharedTrace:
         for E in (x15, x21):
             Y = quadratic_twist(E, d)
             self.check(Y, E)
-            self.check(E, Y)
             # one class: the second curve reads the first one's traces
-            assert _shared_trace.cache_info().misses <= len(SHARED_PRIMES)
+            assert len(self.check(E, Y)) <= len(SHARED_PRIMES)
 
     def test_random_models(self):
         for E in random_curves(6, seed=21) + random_curves(6, seed=22, coeff_bound=300):
@@ -239,29 +240,44 @@ class TestSharedTrace:
 
     def test_j_0_and_1728_are_counted_directly(self):
         for ainvs in ((0, 0, 1, 0, 0), (0, 0, 0, -1, 0)):  # c4 = 0, c6 = 0
-            self.check(CurveModel.from_ainvs(ainvs))
-            assert _shared_trace.cache_info().currsize == 0
+            assert not self.check(CurveModel.from_ainvs(ainvs))
 
     def test_primes_dividing_c4_c6_and_3(self):
-        _shared_trace.cache_clear()
         above = 0
-        for E in random_curves(40, seed=23, coeff_bound=300):
-            M = minimal_model(E)
-            c4, c6 = M.integer_invariants()[4:6]
-            for p in good_primes(M, [3, *(q for q in prime_divisors(c4 * c6 or 1) if 3 < q < 20000)]):
-                assert count_points(M, p) == exact_count(M, p), (M, p)
-                above += p >= BSGS_MIN_P
-        assert above and _shared_trace.cache_info().currsize == 0
+        with shared_traces() as traces:
+            for E in random_curves(40, seed=23, coeff_bound=300):
+                M = minimal_model(E)
+                c4, c6 = M.integer_invariants()[4:6]
+                for p in good_primes(M, [3, *(q for q in prime_divisors(c4 * c6 or 1) if 3 < q < 20000)]):
+                    assert count_points(M, p) == exact_count(M, p), (M, p)
+                    above += p >= BSGS_MIN_P
+        assert above and not traces
+
+    def test_outside_a_block_nothing_is_kept(self, x15, x21):
+        with shared_traces() as traces:
+            pass
+        for E in (x15, quadratic_twist(x15, 5), x21):
+            for p in good_primes(E, SHARED_PRIMES[::7]):
+                assert count_points(E, p) == exact_count(E, p), (E, p)
+        assert not traces and frobenius._traces is None
+
+    def test_nested_blocks_share_one_table(self, x15):
+        with shared_traces() as outer:
+            with shared_traces() as inner:
+                count_points(x15, 1009)
+            assert inner is outer and len(outer) == 1
+        assert frobenius._traces is None
 
     def test_golden_tables_count_once_per_class_and_prime(self, x15, x21):
-        for fn in (_shared_trace, ap, _algebraic_l_ratio, torsion_subgroup):
+        for fn in (ap, _algebraic_l_ratio, torsion_subgroup):
             fn.cache_clear()
-        bound = 0  # the primes up to each family's largest n_max: 518 + 600
         for which, E in ((1, x15), (2, x21)):
-            report = reproduce_table(which)
+            with shared_traces() as traces:  # reproduce_table joins this block
+                report = reproduce_table(which)
+            # the primes up to the family's largest n_max: 518 and 600
             n_max = max(algebraic_l_ratio(quadratic_twist(E, r.row.d)).n_max for r in report.rows)
-            bound += len(sieve_primes(n_max))
-        assert _shared_trace.cache_info().misses <= bound
+            assert 0 < len(traces) <= len(sieve_primes(n_max))
+        assert frobenius._traces is None
 
 
 class TestAnCoefficients:
