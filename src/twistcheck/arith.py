@@ -5,13 +5,14 @@ below 3.3 * 10**24) on the cofactor; a composite cofactor r**k becomes k
 copies of r, any other is split by Pollard-Brent rho (Brent, BIT 20, 1980).
 
 Roots: real roots of a cubic in closed form, Newton-polished in float64;
-integer roots of a depressed cubic from float seeds checked against exact
-monotone brackets; the number of roots over F_p as deg gcd(f, T^p - T)
-(Cohen, GTM 138, section 3.4).
+integer roots of a squarefree polynomial by p-adic Newton lifting from one
+good prime; the number of roots over F_p as deg gcd(f, T^p - T) (Cohen,
+GTM 138, section 3.4).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,13 +173,6 @@ def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in factorize(n)] if abs(n) != 1 else []
 
 
-def divisors_from_factorization(fac: list[tuple[int, int]]) -> list[int]:
-    divs = [1]
-    for p, e in fac:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 # ---------------------------------------------------------------------------
 # valuations and symbols
 
@@ -307,41 +301,50 @@ def real_cubic_roots(a, b, c, d) -> list[float]:
     return sorted(roots, reverse=True)
 
 
-def integer_cubic_roots(A: int, C: int) -> list[int]:
-    """Integer roots of X^3 + A X + C, ascending, each checked by substitution.
+def integer_roots(f: list[int]) -> list[int]:
+    """Integer roots, ascending, of a squarefree integer polynomial (ascending
+    coefficients), each checked by substitution.
 
-    The exact discriminant gives the real roots' number, or a repeated root
-    in closed form.  Each real root is then bracketed exactly where the cubic
-    is monotone, and bisection, probing beside the float seed first, finds it.
+    Roots mod the first prime p that keeps f squarefree are lifted p-adically
+    by Newton's method past twice the Cauchy bound.  Raises ArithmeticError on
+    non-squarefree f, once the failed primes multiply past lead(f) times
+    Mahler's discriminant bound d^d |f|_2^(2d-2).
     """
-    disc = -4 * A**3 - 27 * C * C
-    if disc == 0:  # X^3, or (X - 3C/A) (X + 3C/(2A))^2
-        candidates = (Fraction(3 * C, A), Fraction(-3 * C, 2 * A)) if A else (Fraction(0),)
-        return sorted({int(r) for r in candidates if r.denominator == 1})
-    bound = 2 * (max(math.isqrt(abs(A)), iroot(abs(C), 3)) + 1)  # Fujiwara: |root| < bound
-    if disc > 0:  # three real roots, split by the critical points +-sqrt(-A/3)
-        t = math.isqrt(-A // 3)
-        brackets = ((-bound, -t - 1, 1), (-t, t, -1), (t + 1, bound, 1))
-    else:
-        brackets = ((-bound, bound, 1),)
-    roots = []
-    for (lo, hi, sign), seed in zip(brackets, _depressed_cubic_roots(A, C, disc)):
-        # the largest n in [lo, hi] with sign * f(n) <= 0, where sign * f increases
-        n, above = lo - 1, hi + 1
-        probes = [math.floor(seed), math.floor(seed) + 1]
-        while above - n > 1:
-            x = min(max(probes.pop() if probes else (n + above) // 2, n + 1), above - 1)
-            if sign * ((x * x + A) * x + C) <= 0:
-                n = x
-            else:
-                above = x
-        if n >= lo and (n * n + A) * n + C == 0:
-            roots.append(n)
-    return roots
+    f = pol_trim(list(f))
+    if not f:
+        raise ArithmeticError("the zero polynomial is not squarefree")
+    d = len(f) - 1
+    if d == 0:
+        return []
+    df = [i * c for i, c in enumerate(f)][1:]
+    limit = abs(f[-1]) * d**d * sum(c * c for c in f) ** (d - 1)
+    failed = 1
+    for p in filter(is_prime, itertools.count(2)):
+        fp = pol_trim([c % p for c in f])
+        if len(fp) == len(f) and len(pol_gcd(fp, pol_trim([c % p for c in df]), p)) == 1:
+            break
+        failed *= p
+        if failed > limit:
+            raise ArithmeticError(f"polynomial {f} is not squarefree")
+    roots = [x for x in range(p) if _value(fp, x) % p == 0]
+    bound = 2 + max(abs(c) for c in f[:-1]) // abs(f[-1])  # Cauchy: |root| < bound
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        roots = [(r - _value(f, r) * pow(_value(df, r), -1, m)) % m for r in roots]
+    return sorted(r for r in (r - m if 2 * r > m else r for r in roots) if _value(f, r) == 0)
+
+
+def _value(f: list[int], x: int) -> int:
+    """f(x) by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p: dense, ascending coefficients
+# polynomials over Z and F_p: dense, ascending coefficients
 
 
 def pol_trim(f: list[int]) -> list[int]:
@@ -362,12 +365,13 @@ def pol_rem(f: list[int], mod: list[int], p: int) -> list[int]:
     return f
 
 
-def pol_mulmod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(f) + len(g))
+def pol_mul(f: list[int], g: list[int]) -> list[int]:
+    """Product in Z[T]."""
+    prod = [0] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
         for j, gj in enumerate(g):
             prod[i + j] += fi * gj
-    return pol_rem(prod, mod, p)
+    return prod
 
 
 def pol_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
@@ -375,8 +379,8 @@ def pol_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
     base = pol_rem(base, mod, p)
     while exp:
         if exp & 1:
-            result = pol_mulmod(result, base, mod, p)
-        base = pol_mulmod(base, base, mod, p)
+            result = pol_rem(pol_mul(result, base), mod, p)
+        base = pol_rem(pol_mul(base, base), mod, p)
         exp >>= 1
     return result
 

@@ -114,7 +114,7 @@ def _resolve_curve(args) -> CurveModel:
     if getattr(args, "curve", None):
         return parse_ainvs(args.curve)
     fam = Family.parse(args.family)
-    d = getattr(args, "twist", None) or getattr(args, "d", None)
+    d = args.twist
     if d is None or d == 1:
         return base_curve(fam)
     return quadratic_twist(base_curve(fam), d)

@@ -1,10 +1,10 @@
 """Rational torsion subgroups and one-sided mod-l surjectivity certificates.
 
-Torsion follows the classical two-step contract: bound the order by the gcd
-of reduction counts at several good odd primes, then realize the group by an
-integral point search (Lutz-Nagell: Y = 0 or Y^2 dividing 4 A^3 + 27 B^2)
-on the scaled short model Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6,
-verifying orders with the exact group law.
+Torsion bounds the order by the gcd of reduction counts at eight good odd
+primes, then searches E[n] only, for each n = gcd(bound, 8 | 9 | 5 | 7) > 1
+that Mazur allows.  Those points are integral on the scaled short model
+Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6 (Lutz-Nagell), so X is an integer
+root of a division polynomial; the group is the sum of the parts.
 
 Surjectivity mod l >= 5 is certified from Frobenius trace/determinant pairs:
 one witness whose characteristic polynomial is irreducible (nonsquare
@@ -31,12 +31,12 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import (
-    divisors_from_factorization,
-    integer_cubic_roots,
+    integer_roots,
     is_prime,
     kronecker,
     pol_fixed_degree,
     pol_gcd,
+    pol_mul,
     pol_powmod,
     pol_trim,
     sieve_primes,
@@ -45,7 +45,6 @@ from .curves import (
     CurveModel,
     Point,
     minimal_model,
-    on_curve,
     point_add,
     point_mul,
     point_order,
@@ -90,75 +89,70 @@ def torsion_subgroup(E: CurveModel) -> TorsionStructure:
     """Exact rational torsion subgroup (generators live on the minimal model)."""
     M = minimal_model(E)
 
-    local = conductor(E).local_data  # one entry for each prime dividing disc
-    bad = {ld.p for ld in local}
+    bad = {ld.p for ld in conductor(E).local_data}
 
     # (i) order bound from reductions at eight good odd primes
     good = (p for p in sieve_primes(10_000) if p != 2 and p not in bad)
     bound = math.gcd(*(count_points(M, p) for p in itertools.islice(good, 8)))
 
-    # (ii) Lutz-Nagell realization on the scaled short model Y^2 = X^3 + A X + B:
-    # Y = 0 or Y^2 | 4 A^3 + 27 B^2 = -2^8 3^12 disc
+    # (ii) the l-part lies in E[n], n = gcd(bound, 8 | 9 | 5 | 7) by Mazur; its
+    # points are integral on Y^2 = X^3 + A X + B (Lutz-Nagell)
     A, B = -27 * int(M.c4), -54 * int(M.c6)
-    exps = {2: 8, 3: 12}
-    for ld in local:
-        exps[ld.p] = exps.get(ld.p, 0) + ld.vp_disc
-    ys = [0] + divisors_from_factorization([(p, e // 2) for p, e in exps.items()])
+    group: list[Point] = [None]
+    for n in (math.gcd(bound, q) for q in (8, 9, 5, 7)):
+        part: list[Point] = [None]
+        for X in integer_roots(_division_polynomial(A, B, n)):
+            Y2 = (X * X + A) * X + B
+            Y = math.isqrt(max(Y2, 0))
+            if Y * Y == Y2:
+                x = Fraction(X - 3 * int(M.b2), 36)
+                part += [(x, (y - 108 * (M.a1 * x + M.a3)) / 216) for y in {Y, -Y}]
+        group = [point_add(M, P, Q) for P in group for Q in part]
 
-    points: set[tuple[Fraction, Fraction]] = set()
-    for y in ys:
-        for X in integer_cubic_roots(A, B - y * y):
-            for Y in ({0} if y == 0 else {y, -y}):
-                x = (X - 3 * M.b2) / 36
-                P = (x, (Y - 108 * (M.a1 * x + M.a3)) / 216)
-                if on_curve(M, P) and point_order(M, P, 12) is not None:
-                    points.add(P)
-
-    # close under the group law (defensive; the search is already complete)
-    group: set = set(points)
-    frontier = list(points)
-    while frontier:
-        P = frontier.pop()
-        for Q in list(group):
-            R = point_add(M, P, Q)
-            if R is not None and R not in group:
-                group.add(R)
-                frontier.append(R)
-        if len(group) > 16:
-            raise RuntimeError("torsion closure exceeded the rational bound")
-
-    order = len(group) + 1  # + identity
+    order = len(group)
     if bound % order:
         raise RuntimeError("realized torsion does not divide the reduction bound")
 
-    orders = {P: point_order(M, P, 12) for P in group}
+    orders = {P: point_order(M, P) for P in group if P is not None}
     h = max(orders.values(), default=1)
-    if order == 1:
-        factors: tuple[int, ...] = ()
-        gens: tuple[Point, ...] = ()
-    elif h == order:
-        factors = (order,)
-        gens = (next(P for P, o in orders.items() if o == h),)
-    else:
-        a = order // h
-        if a * h != order or h % a:
-            raise RuntimeError(f"unexpected torsion shape: order {order}, exponent {h}")
-        factors = (a, h)
-        g1 = next(P for P, o in orders.items() if o == h)
-        cyc = {None} | {point_mul(M, k, g1) for k in range(1, h)}
-        g2 = next(P for P, o in orders.items() if o == a and P not in cyc)
-        gens = (g2, g1)
-    if factors not in _MAZUR:
-        raise RuntimeError(f"torsion structure {factors} is not an allowed group")
+    factors = tuple(f for f in (order // h, h) if f > 1)
+    if _MAZUR.get(factors) != order:
+        raise RuntimeError(f"torsion of order {order} and exponent {h} is not an allowed group")
+    gens = [P for P, o in orders.items() if o == h][:1]
+    if len(factors) == 2:
+        cyc = {point_mul(M, k, gens[0]) for k in range(h)}
+        gens.insert(0, next(P for P, o in orders.items() if o == factors[0] and P not in cyc))
 
-    return TorsionStructure(factors, order, gens)
+    return TorsionStructure(factors, order, tuple(gens))
+
+
+def _division_polynomial(A: int, B: int, n: int) -> list[int]:
+    """Squarefree polynomial in X, ascending coefficients, whose roots are the
+    X-coordinates of E[n] minus O on Y^2 = F(X) = X^3 + A X + B: psi_n for odd
+    n, psi_n Y / 2 for even n.  The recursion runs on g_k = psi_k for odd k and
+    psi_k / 2Y for even k (Washington, Elliptic Curves, section 3.2;
+    Silverman, AEC, exercise 3.7)."""
+    F = [B, A, 0, 1]
+    g = [[], [1], [1], [-A * A, 12 * B, 6 * A, 0, 3]]
+    g.append([-2 * A**3 - 16 * B * B, -8 * A * B, -10 * A * A, 40 * B, 10 * A, 0, 2])
+    f2 = [16 * c for c in pol_mul(F, F)]  # (2Y)^4 = 16 F^2
+    for k in range(5, n + 1):
+        m = k // 2
+        if k % 2:  # psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3
+            u = pol_mul(g[m + 2], pol_mul(g[m], pol_mul(g[m], g[m])))
+            v = pol_mul(g[m - 1], pol_mul(g[m + 1], pol_mul(g[m + 1], g[m + 1])))
+            u, v = (u, pol_mul(f2, v)) if m % 2 else (pol_mul(f2, u), v)  # even indices: (2Y)^4
+        else:  # psi_{2m} = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) / 2Y
+            u = pol_mul(g[m], pol_mul(g[m + 2], pol_mul(g[m - 1], g[m - 1])))
+            v = pol_mul(g[m], pol_mul(g[m - 2], pol_mul(g[m + 1], g[m + 1])))
+        g.append(pol_trim([a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]))
+    return g[n] if n % 2 else pol_mul(g[n], F)
 
 
 def two_torsion_rational(E: CurveModel) -> bool:
     """True iff all 2-torsion is rational (the 2-division cubic splits over Q)."""
     M = minimal_model(E)
-    A, B = -27 * int(M.c4), -54 * int(M.c6)
-    return len(integer_cubic_roots(A, B)) == 3
+    return len(integer_roots([-54 * int(M.c6), -27 * int(M.c4), 0, 1])) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +201,8 @@ def mod_l_image(E: CurveModel, l: int, sample_bound: int = 10_000) -> GaloisImag
 
 
 def _mod3_image(M: CurveModel, N: int, sample_bound: int) -> GaloisImageVerdict:
-    b2, b4, b6, b8 = int(M.b2), int(M.b4), int(M.b6), int(M.b8)
-    psi3 = (b8, 3 * b6, 3 * b4, b2, 3)  # ascending coefficients
+    # psi_3 of the short model: X = 36 x + 3 b2 keeps factorization patterns at p >= 5
+    psi3 = _division_polynomial(-27 * int(M.c4), -54 * int(M.c6), 3)
     need = {"four_cycle": None, "three_cycle": None}
     for p in sieve_primes(sample_bound):
         if p < 5 or (3 * N) % p == 0:

@@ -1,10 +1,13 @@
+import math
 import random
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
 import pytest
 
-from twistcheck.curves import CurveModel, base_curve
+from twistcheck.arith import _depressed_cubic_roots, factorize
+from twistcheck.curves import CurveModel, base_curve, minimal_model, point_order
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +46,39 @@ def exact_count(E: CurveModel, p: int) -> int:
     table[(x * x) % p] = 1
     chi = np.where(g == 0, 0, np.where(table[g] == 1, 1, -1))
     return p + 1 + int(chi.sum())
+
+
+def scan_torsion(E: CurveModel) -> tuple[int, ...]:
+    """Invariant factors of E(Q)_tors by the Lutz-Nagell divisor scan: every
+    point of order <= 12 on Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6, with
+    Y = 0 or Y^2 | 4 A^3 + 27 B^2 = -2^8 3^12 disc.  The reference
+    torsion_subgroup is tested against."""
+    M = minimal_model(E)
+    A, B = -27 * int(M.c4), -54 * int(M.c6)
+    exps = {2: 8, 3: 12}
+    for p, e in factorize(int(M.discriminant)):
+        exps[p] = exps.get(p, 0) + e
+    ys = [1]
+    for p, e in exps.items():
+        ys = [y * p**k for y in ys for k in range(e // 2 + 1)]
+    # an exact filter: X^3 + A X + B = y^2 must be solvable mod q
+    values = {q: {(x**3 + A * x + B) % q for x in range(q)} for q in (7, 11, 13, 17)}
+    orders = [1]
+    for y in [0] + ys:
+        if any(y * y % q not in v for q, v in values.items()):
+            continue
+        for X in _integer_cubic_roots(A, B - y * y):
+            x = Fraction(X - 3 * int(M.b2), 36)
+            for Y in {y, -y}:
+                order = point_order(M, (x, (Y - 108 * (M.a1 * x + M.a3)) / 216), 12)
+                orders += [order] if order else []
+    h = max(orders)
+    return tuple(f for f in (len(orders) // h, h) if f > 1)
+
+
+def _integer_cubic_roots(A: int, C: int) -> list[int]:
+    """Integer roots of X^3 + A X + C, each within 1 of a float real root: the
+    float error stays far below 1 for the moderate coefficients tested here."""
+    seeds = _depressed_cubic_roots(A, C, -4 * A**3 - 27 * C * C)
+    near = {X for t in seeds for X in range(round(t) - 1, round(t) + 2)}
+    return [X for X in near if (X * X + A) * X + C == 0]

@@ -8,11 +8,12 @@ from twistcheck.arith import (
     NotSquarefree,
     ZeroInput,
     factorize,
-    integer_cubic_roots,
+    integer_roots,
     iroot,
     is_prime,
     is_squarefree,
     kronecker,
+    pol_mul,
     pol_root_count,
     quad_field_data,
     real_cubic_roots,
@@ -144,11 +145,16 @@ class TestRoots:
                 assert x**k <= n < (x + 1) ** k
 
     def test_integer_cubic_roots_match_brute_force(self):
-        # |roots| <= 2 max(sqrt 60, 30^(1/3)) < 16 (Fujiwara)
+        # every nonsingular X^3 + A X + C; |roots| <= 2 max(sqrt 60, 30^(1/3)) < 16 (Fujiwara)
+        cubics = 0
         for A in range(-60, 61):
             for C in range(-60, 61):
+                if 4 * A**3 + 27 * C * C == 0:
+                    continue
                 brute = [x for x in range(-16, 17) if x**3 + A * x + C == 0]
-                assert integer_cubic_roots(A, C) == brute, (A, C)
+                assert integer_roots([C, A, 0, 1]) == brute, (A, C)
+                cubics += 1
+        assert cubics == 14_634
 
     @pytest.mark.parametrize(
         "r,s",
@@ -157,18 +163,33 @@ class TestRoots:
     def test_three_integer_roots_near_1e20(self, r, s):
         # (X - r)(X - s)(X + r + s), two of the roots only a few units apart
         A, C = r * s - (r + s) ** 2, r * s * (r + s)
-        assert integer_cubic_roots(A, C) == sorted({r, s, -r - s})
-
-    @pytest.mark.parametrize("k", [10**20 + 7, -(10**20) - 3, 1, 0])
-    def test_double_root_near_1e20(self, k):
-        # (X - k)^2 (X + 2k): the discriminant is 0
-        assert integer_cubic_roots(-3 * k * k, 2 * k**3) == sorted({k, -2 * k})
+        assert integer_roots([C, A, 0, 1]) == sorted({r, s, -r - s})
 
     def test_one_integer_root_beside_irrational_pair(self):
         # (X - r)(X^2 + r X + B) with B chosen so that the pair is irrational
         for r in (7, -10**18 - 9, 10**25 + 1):
             B = -(r * r) - 1
-            assert integer_cubic_roots(B - r * r, -r * B) == [r]
+            assert integer_roots([-r * B, B - r * r, 0, 1]) == [r]
+
+    def test_non_monic_linear_and_constant(self):
+        # (X - 5)(X + 7)(2X - 1)(3X - 2): the rational roots 1/2 and 2/3 are not integers
+        f = pol_mul(pol_mul([-5, 1], [7, 1]), pol_mul([-1, 2], [-2, 3]))
+        assert integer_roots(f) == [-7, 5]
+        assert integer_roots([9, 3]) == [-3]
+        assert integer_roots([5]) == []
+
+    @pytest.mark.parametrize("k", [10**20 + 7, -(10**20) - 3, 1, 0])
+    def test_double_root_near_1e20(self, k):
+        # (X - k)^2 (X + 2k) is not squarefree
+        with pytest.raises(ArithmeticError):
+            integer_roots([2 * k**3, -3 * k * k, 0, 1])
+
+    def test_non_squarefree_without_integer_roots_raises(self):
+        # (X^2 + 1)^2 (X - 3): the square factor has no root mod primes p = 3 mod 4
+        with pytest.raises(ArithmeticError):
+            integer_roots(pol_mul(pol_mul([1, 0, 1], [1, 0, 1]), [-3, 1]))
+        with pytest.raises(ArithmeticError):
+            integer_roots([0, 0])
 
     def test_real_cubic_roots(self):
         assert real_cubic_roots(1, 0, -7, 6) == [2.0, 1.0, -3.0]

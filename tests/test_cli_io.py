@@ -176,6 +176,13 @@ class TestCli:
         assert rc == 1
         assert "error: a6 = '1/0'" in err
 
+    @pytest.mark.parametrize("flag", ["--twist", "--d"])
+    def test_twist_zero_is_refused(self, capsys, flag):
+        for command in ("lratio", "invariants"):
+            rc, out, err = run_cli(capsys, [command, "--family", "15", flag, "0"])
+            assert (rc, out) == (1, "")
+            assert "twist parameter must be nonzero" in err
+
     def test_crosscheck(self, capsys, tmp_path):
         good = tmp_path / "ref.txt"
         good.write_text(

@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_curves
+from conftest import random_curves, scan_torsion
 from twistcheck.arith import is_squarefree, sieve_primes
-from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
+from twistcheck.curves import (
+    CurveModel,
+    base_curve,
+    minimal_model,
+    on_curve,
+    point_order,
+    quadratic_twist,
+)
 from twistcheck.frobenius import count_points
 from twistcheck.local_invariants import conductor
 from twistcheck.torsion_galois import (
@@ -65,8 +72,47 @@ def reduce_point(P, p):
 
 # ---------------------------------------------------------------------------
 
+# one curve for each of the fifteen torsion structures Mazur allows
+MAZUR_ANCHORS = {
+    (): (0, 0, 1, -1, 0),
+    (2,): (0, 0, 0, 1, 0),
+    (3,): (0, 0, 1, 0, 0),
+    (4,): (0, 0, 0, 4, 0),
+    (5,): (1, 1, 1, 0, 1),
+    (6,): (0, 0, 0, 0, 1),
+    (7,): (1, -1, 1, -3, 3),
+    (8,): (1, 1, 1, 35, -28),
+    (9,): (1, -1, 1, -14, 29),
+    (10,): (1, 0, 0, -45, 81),
+    (12,): (1, -1, 1, -122, 1721),
+    (2, 2): (0, 0, 0, -1, 0),
+    (2, 4): (1, 1, 1, -10, -10),
+    (2, 6): (1, 0, 1, -19, 26),
+    (2, 8): (1, 0, 0, -1070, 7812),
+}
+
 
 class TestTorsion:
+    @pytest.mark.parametrize("factors", MAZUR_ANCHORS)
+    def test_every_mazur_shape(self, factors):
+        E = CurveModel.from_ainvs(MAZUR_ANCHORS[factors])
+        M = minimal_model(E)
+        tor = torsion_subgroup(E)
+        assert tor.invariant_factors == factors
+        assert tor.order == math.prod(factors)
+        assert len(tor.generators) == len(factors)
+        for gen, n in zip(tor.generators, factors):
+            assert on_curve(M, gen)
+            assert point_order(M, gen) == n
+
+    def test_matches_divisor_scan(self, x15, x21):
+        curves = [CurveModel.from_ainvs(a) for a in MAZUR_ANCHORS.values()]
+        curves += random_curves(60, seed=8)
+        for E in (x15, x21):
+            curves += [quadratic_twist(E, d) for d in range(2, 101) if is_squarefree(d)]
+        for E in curves:
+            assert torsion_subgroup(E).invariant_factors == scan_torsion(E), E
+
     def test_base_curves(self, x15, x21):
         for E in (x15, x21):
             tor = torsion_subgroup(E)
@@ -101,8 +147,6 @@ class TestTorsion:
             assert g % tor.order == 0
 
     def test_generators_live_on_minimal_model_with_exact_orders(self, x15, x21):
-        from twistcheck.curves import on_curve, point_order
-
         for E in (x15, x21, quadratic_twist(x15, 17)):
             M = minimal_model(E)
             tor = torsion_subgroup(E)
@@ -125,8 +169,6 @@ class TestTorsion:
             for P in pts:
                 if P is None:
                     continue
-                from twistcheck.curves import point_order
-
                 assert modp_order(a, reduce_point(P, p), p) == point_order(M, P)
 
     def test_no_numpy_root_finding(self, x15, x21, monkeypatch):
