@@ -42,7 +42,6 @@ from .lseries import (
     RootNumberAmbiguous,
     algebraic_l_ratio,
     is_p_adic_unit,
-    l_value_at_1,
     real_period,
 )
 from .torsion_galois import (

@@ -59,7 +59,7 @@ def _twist(fam: Family, d: int) -> CurveModel:
     return quadratic_twist(base_curve(fam), d)
 
 
-def check_theorem(fam, d: int, p: int, **knobs) -> Certificate:
+def check_theorem(fam, d: int, p: int) -> Certificate:
     """Evaluate the headline hypothesis list; failures are data, not errors."""
     fam = Family.parse(fam)
     conds: list[Condition] = []
@@ -88,7 +88,7 @@ def check_theorem(fam, d: int, p: int, **knobs) -> Certificate:
         )
     ratio: LRatioResult | None = None
     if ok:
-        ratio = algebraic_l_ratio(_twist(fam, d), **knobs)
+        ratio = algebraic_l_ratio(_twist(fam, d))
         unit = is_p_adic_unit(ratio.ratio, p)
         conds.append(
             Condition(
@@ -120,14 +120,14 @@ def check_theorem(fam, d: int, p: int, **knobs) -> Certificate:
     return Certificate(fam, d, p, tuple(conds), _verdict(conds), "n/a", extras)
 
 
-def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000, **knobs) -> Certificate:
+def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certificate:
     """Per-prime certificate behind the headline conditions.
 
     Requires the shallow certificate to pass; otherwise that certificate is
     returned unchanged (DoesNotApply with the shallow failure recorded).
     """
     fam = Family.parse(fam)
-    shallow = check_theorem(fam, d, p, **knobs)
+    shallow = check_theorem(fam, d, p)
     if shallow.verdict != APPLIES:
         return shallow
 
@@ -142,19 +142,8 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000, **knobs) -
     ]
     a_p = ap(Y, p).a_p
     path = is_ordinary(Y, p)
-    hard_failure = False
-
-    def push(cond: Condition) -> bool:
-        nonlocal hard_failure
-        conds.append(cond)
-        if not cond.passed and not cond.undetermined:
-            hard_failure = True
-        return not hard_failure
-
-    image = None
 
     def surjectivity_cond() -> Condition:
-        nonlocal image
         image = mod_l_image(Y, p, sample_bound=sample_bound)
         return Condition(
             "mod_p_image_surjective",
@@ -164,7 +153,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000, **knobs) -
             undetermined=image.verdict == UNDETERMINED,
         )
 
-    ratio = algebraic_l_ratio(Y, **knobs)
+    ratio = algebraic_l_ratio(Y)
     if path == "ordinary":
         steps = [
             lambda: Condition("ordinary_at_p", "local", {"a_p": a_p}, a_p % p != 0),
@@ -191,7 +180,9 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000, **knobs) -
             lambda: _tamagawa_condition(Y, p),
         ]
     for step in steps:
-        if not push(step()):
+        cond = step()
+        conds.append(cond)
+        if not cond.passed and not cond.undetermined:
             break  # fail fast, keeping the evidence gathered so far
 
     return Certificate(fam, d, p, tuple(conds), _verdict(conds), path, dict(shallow.extras))
@@ -232,7 +223,7 @@ def _tamagawa_condition(Y: CurveModel, p: int) -> Condition:
 # admissible primes and table reproduction
 
 
-def admissible_primes(fam, d: int, p_max: int = 100, **knobs):
+def admissible_primes(fam, d: int, p_max: int = 100):
     """(excluded set, description): primes for which the headline statement
     applies are exactly those outside the excluded set (checked up to p_max)."""
     fam = Family.parse(fam)
@@ -246,7 +237,7 @@ def admissible_primes(fam, d: int, p_max: int = 100, **knobs):
     if math.gcd(d, 3) != 1 and math.gcd(d, q) != 1:
         raise ValueError(f"d = {d} fails both coprimality branches")
 
-    ratio = algebraic_l_ratio(_twist(fam, d), **knobs).ratio
+    ratio = algebraic_l_ratio(_twist(fam, d)).ratio
     if ratio == 0:
         return frozenset(), "none"
     excluded = set(fam.base_primes) | set(prime_divisors(d))
@@ -255,11 +246,10 @@ def admissible_primes(fam, d: int, p_max: int = 100, **knobs):
     for p in sieve_primes(p_max):
         if p in excluded:
             continue
-        cert = check_theorem(fam, d, p, **knobs)
+        cert = check_theorem(fam, d, p)
         if cert.verdict != APPLIES:
             raise RuntimeError(f"admissible-set characterization failed at p = {p}")
-    desc = "p not in {" + ", ".join(str(p) for p in sorted(excluded)) + "}"
-    return excluded, desc
+    return excluded, _excluded_str(excluded)
 
 
 @dataclass(frozen=True)
@@ -288,7 +278,7 @@ class TableReport:
 
 
 @shared_traces()
-def reproduce_table(which: int, **knobs) -> TableReport:
+def reproduce_table(which: int) -> TableReport:
     """Recompute every cell of table 1 or 2 and compare with the golden rows.
 
     Documented errata are compared against the corrected value and keep their
@@ -305,11 +295,11 @@ def reproduce_table(which: int, **knobs) -> TableReport:
     for row in rows:
         E_d = _twist(fam, row.d)
         fac = conductor(E_d).factorization
-        ratio = algebraic_l_ratio(E_d, **knobs).ratio
+        ratio = algebraic_l_ratio(E_d).ratio
         if ratio == 0:
             exc: tuple[int, ...] | None = None
         else:
-            exc = tuple(sorted(admissible_primes(fam, row.d, **knobs)[0]))
+            exc = tuple(sorted(admissible_primes(fam, row.d)[0]))
         results.append(
             TableRowResult(
                 row,

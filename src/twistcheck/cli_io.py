@@ -120,10 +120,6 @@ def _resolve_curve(args) -> CurveModel:
     return quadratic_twist(base_curve(fam), d)
 
 
-def _knobs(args) -> dict:
-    return {"nmax_cap": args.nmax_cap, "tolerance": args.tolerance}
-
-
 def _emit(args, json_obj: dict, text: str) -> None:
     if args.json:
         print(json.dumps(json_obj))
@@ -168,7 +164,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_lratio(args) -> int:
     E = _resolve_curve(args)
-    res = algebraic_l_ratio(E, **_knobs(args))
+    res = algebraic_l_ratio(E)
     obj = {
         "l1": res.l1,
         "omega": res.omega,
@@ -189,9 +185,9 @@ def _cmd_lratio(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.command == "deep-certify":
-        cert = deep_certificate(args.family, args.d, args.p, sample_bound=args.sample_bound, **_knobs(args))
+        cert = deep_certificate(args.family, args.d, args.p, sample_bound=args.sample_bound)
     else:
-        cert = check_theorem(args.family, args.d, args.p, **_knobs(args))
+        cert = check_theorem(args.family, args.d, args.p)
     obj = certificate_json_dict(cert)
     lines = [f"{cert.family.value}  d={cert.d}  p={cert.p}  verdict: {cert.verdict}  path: {cert.path}"]
     for c in cert.conditions:
@@ -206,7 +202,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
-    excluded, desc = admissible_primes(args.family, args.d, p_max=args.pmax, **_knobs(args))
+    excluded, desc = admissible_primes(args.family, args.d, p_max=args.pmax)
     obj = {
         "family": Family.parse(args.family).value,
         "d": args.d,
@@ -218,7 +214,7 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    report = reproduce_table(args.which, **_knobs(args))
+    report = reproduce_table(args.which)
     if args.json:
         for r in report.rows:
             print(json.dumps(table_row_json_dict(args.which, r)))
@@ -287,8 +283,6 @@ def _cmd_crosscheck(args) -> int:
 # every option but --json, given only to the subcommands that read it
 _OPTIONS = {
     "strict": (("--strict",), {"action": "store_true", "help": "exit 1 on non-applying certificates"}),
-    "nmax_cap": (("--nmax-cap",), {"dest": "nmax_cap", "type": int, "default": 10**6}),
-    "tolerance": (("--tolerance",), {"type": float, "default": 1e-6}),
     "sample_bound": (("--sample-bound",), {"dest": "sample_bound", "type": int, "default": 10_000}),
     "pmax": (("--pmax",), {"type": int, "default": 100}),
     "family": (("--family",), {"required": True}),
@@ -300,16 +294,15 @@ _OPTIONS = {
     "which": (("--which",), {"type": int, "required": True, "choices": (1, 2)}),
     "file": (("--file",), {"required": True, "help": "path, or - for stdin"}),
 }
-_SERIES = ("nmax_cap", "tolerance")
 _CURVE = ("curve_family", "twist", "curve")
-_CERTIFY = ("strict", *_SERIES, "family", "d", "p")
+_CERTIFY = ("strict", "family", "d", "p")
 _SUBCOMMANDS = (
     ("invariants", "model invariants, conductor, torsion", _cmd_invariants, _CURVE),
-    ("lratio", "L(E,1), period and recognized ratio", _cmd_lratio, (*_SERIES, *_CURVE)),
+    ("lratio", "L(E,1), period and recognized ratio", _cmd_lratio, _CURVE),
     ("certify", "headline hypothesis certificate", _cmd_certify, _CERTIFY),
     ("deep-certify", "per-prime certificate (ordinary/supersingular)", _cmd_certify, (*_CERTIFY, "sample_bound")),
-    ("admissible", "excluded prime set for a twist", _cmd_admissible, ("pmax", *_SERIES, "family", "d")),
-    ("table", "reproduce golden table 1 or 2", _cmd_table, (*_SERIES, "which")),
+    ("admissible", "excluded prime set for a twist", _cmd_admissible, ("pmax", "family", "d")),
+    ("table", "reproduce golden table 1 or 2", _cmd_table, ("which",)),
     ("crosscheck", "recompute rows of an external curve table", _cmd_crosscheck, ("file",)),
 )
 

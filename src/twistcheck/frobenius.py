@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import kronecker, sieve_primes, smallest_prime_factors, valuation
+from .arith import kronecker, sieve_primes, smallest_prime_factors
 from .curves import CurveModel, is_minimal_at, minimal_model
 from .local_invariants import (
     ADDITIVE,
@@ -34,12 +34,14 @@ from .local_invariants import (
     SPLIT,
     NotMinimalAtP,
     conductor,
-    tate_local,
 )
 
 # BSGS needs p > 229: only there does Mestre's theorem promise that one trace
 # is left.
 BSGS_MIN_P = 230
+
+# a_p at a bad prime, by the reduction type that Tate's algorithm finds
+_BAD_TRACE = {SPLIT: 1, NONSPLIT: -1, ADDITIVE: 0}
 
 # (K mod p, p) -> t(K, p) while a shared_traces() block is open, else None.
 _traces: dict[tuple[int, int], int] | None = None
@@ -251,14 +253,8 @@ def ap(E: CurveModel, p: int) -> ApRecord:
         return ApRecord(p, p + 1 - count_points(E, p), GOOD)
     if not is_minimal_at(E, p):
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")
-    additive = E.c4 == 0 or valuation(E.c4, p) > 0
-    if additive:
-        return ApRecord(p, 0, ADDITIVE)
-    if p == 2:
-        kind = tate_local(E, 2).kind
-    else:
-        kind = SPLIT if kronecker(int(-E.c6), p) == 1 else NONSPLIT
-    return ApRecord(p, 1 if kind == SPLIT else -1, kind)
+    (kind,) = [ld.kind for ld in conductor(E).local_data if ld.p == p]
+    return ApRecord(p, _BAD_TRACE[kind], kind)
 
 
 def an_coefficients(E: CurveModel, n_max: int) -> list[int]:

@@ -22,17 +22,24 @@ from .local_invariants import conductor
 
 ZERO_RATIO = Fraction(0)
 
+# The series stops at NMAX_CAP terms, so an arbitrary curve cannot ask for an
+# unbounded one; L1/Omega is recognized as the rational with denominator at
+# most MAX_DENOMINATOR nearest to it, which must lie within TOLERANCE.
+NMAX_CAP = 10**6
+TOLERANCE = 1e-6
+MAX_DENOMINATOR = 128
+
 
 class RootNumberAmbiguous(ArithmeticError):
     """Neither sign choice makes the two series evaluations consistent."""
 
 
 class PrecisionExhausted(ArithmeticError):
-    """The required series length exceeds the configured cap."""
+    """The required series length exceeds NMAX_CAP."""
 
 
 class RecognitionFailed(ArithmeticError):
-    """No small rational sits within tolerance of L1/Omega."""
+    """No small rational sits within TOLERANCE of L1/Omega."""
 
 
 @dataclass(frozen=True)
@@ -109,18 +116,13 @@ def _series_length(N: int, eps: float = 1e-12, t_min: float = 1.0 / 1.2) -> int:
     return max(n, 20)
 
 
-def l_value_at_1(E: CurveModel, nmax_cap: int = 10**6) -> tuple[float, int]:
-    """(L(E,1), root number), resolving the sign by two-point consistency."""
-    l1, w, _ = _l_series(E, nmax_cap)
-    return l1, w
-
-
-def _l_series(E: CurveModel, nmax_cap: int, stretch: int = 1) -> tuple[float, int, int]:
-    M = minimal_model(E)
+def _l_series(M: CurveModel) -> tuple[float, int, int]:
+    """(L(E,1), root number, n_max) of a minimal model, resolving the sign by
+    two-point consistency."""
     N = conductor(M).N
-    n_max = _series_length(N) * stretch
-    if n_max > nmax_cap:
-        raise PrecisionExhausted(f"series needs {n_max} terms, cap is {nmax_cap}")
+    n_max = _series_length(N)
+    if n_max > NMAX_CAP:
+        raise PrecisionExhausted(f"series needs {n_max} terms, cap is {NMAX_CAP}")
     a = an_coefficients(M, n_max)
     sqN = math.sqrt(N)
 
@@ -147,32 +149,24 @@ def _l_series(E: CurveModel, nmax_cap: int, stretch: int = 1) -> tuple[float, in
 # algebraic ratio
 
 
-def algebraic_l_ratio(
-    E: CurveModel,
-    nmax_cap: int = 10**6,
-    tolerance: float = 1e-6,
-    max_denominator: int = 128,
-    _stretch: int = 1,
-) -> LRatioResult:
+def algebraic_l_ratio(E: CurveModel) -> LRatioResult:
     """Exactly recognized L(E,1)/Omega (Fraction(0) when the value vanishes)."""
-    # one cache entry per minimal model and knob values, however they are spelled
-    return _algebraic_l_ratio(minimal_model(E), nmax_cap, tolerance, max_denominator, _stretch)
+    # one cache entry per minimal model, however the curve is spelled
+    return _algebraic_l_ratio(minimal_model(E))
 
 
 @cache
-def _algebraic_l_ratio(
-    M: CurveModel, nmax_cap: int, tolerance: float, max_denominator: int, stretch: int
-) -> LRatioResult:
+def _algebraic_l_ratio(M: CurveModel) -> LRatioResult:
     omega = period_of_model(M)
-    l1, w, n_max = _l_series(M, nmax_cap, stretch=stretch)
+    l1, w, n_max = _l_series(M)
     if w == -1 or abs(l1) < 1e-8 * omega:
         return LRatioResult(l1, omega, w, ZERO_RATIO, n_max)
     x = l1 / omega
-    guess = Fraction(x).limit_denominator(max_denominator)
-    if abs(x - float(guess)) >= tolerance:
+    guess = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    if abs(x - float(guess)) >= TOLERANCE:
         raise RecognitionFailed(
-            f"L1/Omega = {x!r} is not within {tolerance} of a rational "
-            f"with denominator <= {max_denominator}"
+            f"L1/Omega = {x!r} is not within {TOLERANCE} of a rational "
+            f"with denominator <= {MAX_DENOMINATOR}"
         )
     return LRatioResult(l1, omega, w, guess, n_max)
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistcheck
-from twistcheck.cli_io import cli_main, parse_curve_table
+from twistcheck.cli_io import _build_parser, cli_main, parse_curve_table
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the least each subcommand needs on its command line to parse
+MINIMAL_ARGV = {
+    "invariants": ["--family", "15"],
+    "lratio": ["--family", "15"],
+    "certify": ["--family", "15", "--d", "2", "--p", "7"],
+    "deep-certify": ["--family", "15", "--d", "2", "--p", "7"],
+    "admissible": ["--family", "15", "--d", "17"],
+    "table": ["--which", "1"],
+    "crosscheck": ["--file", "-"],
+}
 
 
 def run_cli(capsys, argv):
     rc = cli_main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def readme_option_table() -> dict[str, tuple[list[str], set[str]]]:
+    """option -> (its arguments in a test command line, the subcommands the
+    README option table lists for it); a default of "off" marks a flag."""
+    table = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        m = re.fullmatch(r"\| `(--[a-z-]+)` \| (.+?) \| .+? \| (.+) \|", line)
+        if m:
+            args = [m[1]] if m[2] == "off" else [m[1], "5"]
+            table[m[1]] = (args, set(re.findall(r"`([a-z-]+)`", m[3])))
+    return table
 
 
 class TestParseCurveTable:
@@ -165,8 +197,38 @@ class TestCli:
     def test_options_belong_to_their_subcommand(self, capsys):
         # table always checks admissible primes up to 100, so --pmax is refused
         assert run_cli(capsys, ["table", "--which", "1", "--pmax", "50"])[0] == 2
-        assert run_cli(capsys, ["invariants", "--family", "15", "--nmax-cap", "10"])[0] == 2
         assert run_cli(capsys, ["crosscheck", "--file", "-", "--strict"])[0] == 2
+        # the series cap and the recognition tolerance are fixed
+        for name, argv in MINIMAL_ARGV.items():
+            assert run_cli(capsys, [name, *argv, "--nmax-cap", "2000000"])[0] == 2
+            assert run_cli(capsys, [name, *argv, "--tolerance", "1e-8"])[0] == 2
+
+    def test_minimal_argv_covers_every_subcommand(self):
+        assert set(subcommand_parsers()) == set(MINIMAL_ARGV)
+        for name, parser in subcommand_parsers().items():
+            parser.parse_args(MINIMAL_ARGV[name])
+
+    def test_readme_option_table_matches_the_parser(self, capsys):
+        table = readme_option_table()
+        assert {"--strict", "--sample-bound", "--pmax"} <= set(table)
+        for option, (args, listed) in table.items():
+            assert listed and listed <= set(MINIMAL_ARGV), option
+            for name, parser in subcommand_parsers().items():
+                if name in listed:
+                    parser.parse_args([*MINIMAL_ARGV[name], *args])
+                else:
+                    assert run_cli(capsys, [name, *MINIMAL_ARGV[name], *args])[0] == 2, (name, option)
+
+    def test_every_accepted_option_is_in_the_readme(self):
+        # an option is either in the option table or, for the arguments that
+        # name the curve, the twist, the prime or the input, in the examples
+        text = README.read_text(encoding="utf-8")
+        examples = text.split("## Command line", 1)[1].split("```")[1]
+        documented = {*readme_option_table(), *re.findall(r"--[a-z][a-z-]*", examples), "-h", "--help"}
+        for name, parser in subcommand_parsers().items():
+            for action in parser._actions:
+                for flag in action.option_strings:
+                    assert flag in documented, (name, flag)
 
     def test_value_error_exit_1(self, capsys):
         rc, _, err = run_cli(capsys, ["admissible", "--family", "15", "--d", "5"])
@@ -182,6 +244,12 @@ class TestCli:
             rc, out, err = run_cli(capsys, [command, "--family", "15", flag, "0"])
             assert (rc, out) == (1, "")
             assert "twist parameter must be nonzero" in err
+
+    def test_series_cap_is_an_error(self, capsys):
+        # 15A1 twisted by 9998 needs 1,142,411 series terms
+        rc, out, err = run_cli(capsys, ["lratio", "--family", "15", "--twist", "9998"])
+        assert (rc, out) == (1, "")
+        assert err == "error: series needs 1142411 terms, cap is 1000000\n"
 
     def test_crosscheck(self, capsys, tmp_path):
         good = tmp_path / "ref.txt"

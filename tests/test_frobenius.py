@@ -22,7 +22,7 @@ from twistcheck.frobenius import (
     is_ordinary,
     shared_traces,
 )
-from twistcheck.local_invariants import ADDITIVE, GOOD, NotMinimalAtP
+from twistcheck.local_invariants import ADDITIVE, GOOD, NONSPLIT, SPLIT, NotMinimalAtP
 from twistcheck.lseries import _algebraic_l_ratio, algebraic_l_ratio
 from twistcheck.torsion_galois import torsion_subgroup
 
@@ -88,6 +88,19 @@ class TestAp:
     def test_multiplicative_signs(self, x15):
         assert ap(x15, 3).a_p == -1 and ap(x15, 3).kind.endswith("multiplicative")
         assert ap(x15, 5).a_p == 1
+
+    def test_bad_primes_match_naive_count(self):
+        # the singular point counts once: split, nonsplit and additive
+        # reduction give a_p = 1, -1 and 0
+        kinds = set()
+        for E in random_curves(60, seed=7, coeff_bound=40):
+            M = minimal_model(E)
+            for p in prime_divisors(int(M.discriminant)):
+                if p <= 200:
+                    rec = ap(M, p)
+                    assert rec.a_p == p + 1 - naive_count(M, p), (M, p)
+                    kinds.add(rec.kind)
+        assert kinds == {SPLIT, NONSPLIT, ADDITIVE}
 
     def test_additive_is_zero(self, x15):
         Y = quadratic_twist(x15, 7)

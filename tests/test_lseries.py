@@ -6,13 +6,16 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_curves
+from twistcheck import lseries
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist, u_scale
+from twistcheck.frobenius import an_coefficients
+from twistcheck.local_invariants import conductor
 from twistcheck.lseries import (
+    PrecisionExhausted,
     RecognitionFailed,
     _algebraic_l_ratio,
     algebraic_l_ratio,
     is_p_adic_unit,
-    l_value_at_1,
     period_of_model,
     real_period,
 )
@@ -40,6 +43,22 @@ def quadrature_period(E: CurveModel) -> float:
 
     val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
     return (2.0 if disc > 0 else 1.0) * val
+
+
+def doubled_series(M: CurveModel, n_max: int) -> tuple[float, int]:
+    """(L(E,1), root number) from 2 * n_max terms, summed here with math.fsum:
+    the same two-point sign test as the program, on a series twice as long."""
+    sqN = math.sqrt(conductor(M).N)
+    a = an_coefficients(M, 2 * n_max)
+
+    def F(t: float) -> float:
+        c = 2.0 * math.pi * t / sqN
+        return math.fsum(a[n] / n * math.exp(-c * n) for n in range(1, 2 * n_max + 1) if a[n])
+
+    f1, f_hi, f_lo = F(1.0), F(1.2), F(1.0 / 1.2)
+    if abs(2.0 * f1 - (f_hi + f_lo)) <= abs(f_hi - f_lo):
+        return 2.0 * f1, 1
+    return 0.0, -1
 
 
 def period_corpus(x15, x21):
@@ -103,29 +122,51 @@ class TestLValue:
                 else:
                     assert res.root_number == 1
                 # doubled series length, tightened tolerance: same rational
-                res2 = algebraic_l_ratio(Ed, tolerance=1e-8, _stretch=2)
-                assert res2.ratio == res.ratio
-                assert abs(res2.l1 - res.l1) < 1e-9
+                M = minimal_model(Ed)
+                l1, w = doubled_series(M, res.n_max)
+                assert w == res.root_number
+                assert abs(l1 - res.l1) < 1e-9
+                x = l1 / res.omega
+                ratio = Fraction(x).limit_denominator(128) if w == 1 else Fraction(0)
+                assert w == -1 or abs(x - float(ratio)) < 1e-8
+                assert ratio == res.ratio
 
-    def test_l_value_tuple_api(self, x15):
-        l1, w = l_value_at_1(x15)
-        assert w == 1
-        assert abs(l1 / real_period(x15) - 0.125) < 1e-9
+    def test_l_value_fields(self, x15):
+        res = algebraic_l_ratio(x15)
+        assert res.root_number == 1
+        assert res.omega == real_period(x15)
+        assert abs(res.l1 / real_period(x15) - 0.125) < 1e-9
 
     def test_one_cache_entry_per_request(self, x15):
         Ed = quadratic_twist(x15, 2)
         _algebraic_l_ratio.cache_clear()
         first = algebraic_l_ratio(Ed)
-        assert algebraic_l_ratio(Ed, nmax_cap=10**6, tolerance=1e-6) is first
-        assert algebraic_l_ratio(Ed, 10**6, 1e-6, 128) is first
+        assert algebraic_l_ratio(Ed) is first
         assert algebraic_l_ratio(u_scale(Ed, 2)) is first  # a non-minimal model of the same curve
-        algebraic_l_ratio(Ed, tolerance=1e-8)
         info = _algebraic_l_ratio.cache_info()
-        assert (info.misses, info.hits) == (2, 3)
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
-    def test_recognition_failure_surfaces(self, x15):
-        with pytest.raises(RecognitionFailed):
-            algebraic_l_ratio(quadratic_twist(x15, 19), tolerance=1e-300, max_denominator=3)
+    def test_recognition_failure_surfaces(self, x15, monkeypatch):
+        monkeypatch.setattr(lseries, "MAX_DENOMINATOR", 3)
+        monkeypatch.setattr(lseries, "TOLERANCE", 1e-300)
+        _algebraic_l_ratio.cache_clear()
+        try:
+            with pytest.raises(RecognitionFailed):
+                algebraic_l_ratio(quadratic_twist(x15, 19))
+        finally:
+            _algebraic_l_ratio.cache_clear()
+
+
+class TestSeriesCap:
+    """15A1 twisted by 9998 needs 1,142,411 terms, past NMAX_CAP = 10^6."""
+
+    def test_cap_raises_before_any_point_count(self, x15, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("the cap must be checked before the a_n are computed")
+
+        monkeypatch.setattr(lseries, "an_coefficients", no_count)
+        with pytest.raises(PrecisionExhausted, match="series needs 1142411 terms, cap is 1000000"):
+            algebraic_l_ratio(quadratic_twist(x15, 9998))
 
 
 class TestPAdicUnit:
