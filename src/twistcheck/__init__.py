@@ -21,7 +21,6 @@ from .curves import (
     Family,
     SingularCurve,
     base_curve,
-    invariants,
     minimal_model,
     quadratic_twist,
 )
@@ -42,7 +41,6 @@ from .lseries import (
     RootNumberAmbiguous,
     algebraic_l_ratio,
     is_p_adic_unit,
-    real_period,
 )
 from .torsion_galois import (
     GaloisImageVerdict,
@@ -50,7 +48,6 @@ from .torsion_galois import (
     TorsionStructure,
     mod_l_image,
     torsion_subgroup,
-    two_torsion_rational,
 )
 
 __version__ = "0.1.0"

@@ -290,7 +290,7 @@ _OPTIONS = {
     "p": (("--p",), {"type": int, "required": True}),
     "curve_family": (("--family",), {"help": "15 or 21"}),
     "twist": (("--twist", "--d"), {"dest": "twist", "type": int, "help": "twist parameter d"}),
-    "curve": (("--curve",), {"help": 'explicit model "a1,a2,a3,a4,a6"'}),
+    "curve": (("--curve",), {"help": 'explicit model "a1,a2,a3,a4,a6"; write --curve=-1,... when a1 < 0'}),
     "which": (("--which",), {"type": int, "required": True, "choices": (1, 2)}),
     "file": (("--file",), {"required": True, "help": "path, or - for stdin"}),
 }

@@ -1,10 +1,12 @@
 """Weierstrass models over Q.
 
-Curves are immutable five-tuples of rationals that carry their b- and
-c-invariants and discriminant, computed once.  Minimal models are produced
-by the Laska-Kraus-Connell strategy: scale (c4, c6) down by the largest
-admissible u and rebuild the reduced model from the scaled invariants, so the
-output is the same canonical model the standard curve tables print.
+Curves are immutable integral five-tuples that carry their b- and
+c-invariants and discriminant, computed once; a rational model is scaled to
+an isomorphic integral one where it enters, in CurveModel.from_ainvs.
+Minimal models are produced by the Laska-Kraus-Connell strategy: scale
+(c4, c6) down by the largest admissible u and rebuild the reduced model from
+the scaled invariants, so the output is the same canonical model the
+standard curve tables print.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import product
 
 from .arith import NotSquarefree, is_squarefree, prime_divisors, valuation
 
@@ -37,7 +38,7 @@ def weierstrass_invariants(a):
 
 
 def rst(a, r, s, t):
-    """a-invariants after x = x' + r, y = y' + s x' + t (ints or Fractions)."""
+    """a-invariants after x = x' + r, y = y' + s x' + t."""
     a1, a2, a3, a4, a6 = a
     return (
         a1 + 2 * s,
@@ -50,40 +51,35 @@ def rst(a, r, s, t):
 
 @dataclass(frozen=True)
 class CurveModel:
-    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+    """Integral long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    The b- and c-invariants, the discriminant, integrality and the hash are
-    computed once, when the model is built; equality and hashing look at the
-    a-invariants only.
+    Every field is an int.  The b- and c-invariants, the discriminant and the
+    hash are computed once, when the model is built; equality and hashing
+    look at the a-invariants only.  Build a model from rational a-invariants
+    with from_ainvs.
     """
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-    b2: Fraction = field(init=False, repr=False, compare=False)
-    b4: Fraction = field(init=False, repr=False, compare=False)
-    b6: Fraction = field(init=False, repr=False, compare=False)
-    b8: Fraction = field(init=False, repr=False, compare=False)
-    c4: Fraction = field(init=False, repr=False, compare=False)
-    c6: Fraction = field(init=False, repr=False, compare=False)
-    _discriminant: Fraction = field(init=False, repr=False, compare=False)
-    is_integral: bool = field(init=False, repr=False, compare=False)
-    _integer_invariants: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    a1: int
+    a2: int
+    a3: int
+    a4: int
+    a6: int
+    b2: int = field(init=False, repr=False, compare=False)
+    b4: int = field(init=False, repr=False, compare=False)
+    b6: int = field(init=False, repr=False, compare=False)
+    b8: int = field(init=False, repr=False, compare=False)
+    c4: int = field(init=False, repr=False, compare=False)
+    c6: int = field(init=False, repr=False, compare=False)
+    _discriminant: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ainvs = self.ainvs
-        integral = all(a.denominator == 1 for a in ainvs)
-        # int arithmetic is an order of magnitude faster than Fraction arithmetic
-        invs = weierstrass_invariants(tuple(map(int, ainvs)) if integral else ainvs)
         names = ("b2", "b4", "b6", "b8", "c4", "c6", "_discriminant")
-        for name, value in zip(names, invs):
-            object.__setattr__(self, name, Fraction(value))
-        object.__setattr__(self, "is_integral", integral)
-        object.__setattr__(self, "_integer_invariants", invs if integral else None)
-        # Fraction.__hash__ is slow, and caches keyed on a model hash it per lookup
+        for name, value in zip(names, weierstrass_invariants(ainvs)):
+            object.__setattr__(self, name, value)
+        # the dataclass hash would build the a-invariant tuple on every lookup
+        # of a cache keyed on the model
         object.__setattr__(self, "_hash", hash(ainvs))
 
     def __hash__(self) -> int:
@@ -91,15 +87,20 @@ class CurveModel:
 
     @classmethod
     def from_ainvs(cls, ainvs) -> "CurveModel":
-        a1, a2, a3, a4, a6 = (Fraction(a) for a in ainvs)
+        """The model with these a-invariants (ints or Fractions).  A rational
+        model is scaled by u = the lcm of the denominators, a_i -> u^i a_i,
+        to an isomorphic integral one; integral input is kept as it is."""
+        ainvs = tuple(ainvs)
+        u = math.lcm(*(a.denominator for a in ainvs))
+        a1, a2, a3, a4, a6 = (a.numerator * u**i // a.denominator for a, i in zip(ainvs, (1, 2, 3, 4, 6)))
         return cls(a1, a2, a3, a4, a6)
 
     @property
-    def ainvs(self) -> tuple[Fraction, ...]:
+    def ainvs(self) -> tuple[int, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @property
-    def discriminant(self) -> Fraction:
+    def discriminant(self) -> int:
         # a property, not a field, so that bench/tracing.py can count reads
         return self._discriminant
 
@@ -108,45 +109,15 @@ class CurveModel:
         disc = self.discriminant
         if disc == 0:
             raise SingularCurve("j-invariant undefined: discriminant is 0")
-        return self.c4**3 / disc
-
-    def integer_ainvs(self) -> tuple[int, ...]:
-        if not self.is_integral:
-            raise ValueError(f"model is not integral: {self.ainvs}")
-        return tuple(int(a) for a in self.ainvs)
-
-    def integer_invariants(self) -> tuple[int, ...]:
-        """(b2, b4, b6, b8, c4, c6, discriminant) of an integral model, as ints."""
-        if self._integer_invariants is None:
-            raise ValueError(f"model is not integral: {self.ainvs}")
-        return self._integer_invariants
+        return Fraction(self.c4**3, disc)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(a) for a in self.ainvs) + "]"
 
 
-def invariants(E: CurveModel):
-    """(b2, b4, b6, b8, c4, c6, disc, j); raises SingularCurve if disc = 0."""
-    disc = E.discriminant
-    if disc == 0:
-        raise SingularCurve(f"singular model {E}")
-    return (E.b2, E.b4, E.b6, E.b8, E.c4, E.c6, disc, E.j)
-
-
-def rst_transform(E: CurveModel, r, s, t) -> CurveModel:
-    """Apply x = x' + r, y = y' + s x' + t (u = 1)."""
-    return CurveModel(*rst(E.ainvs, Fraction(r), Fraction(s), Fraction(t)))
-
-
-def u_scale(E: CurveModel, u) -> CurveModel:
-    """Apply (x, y) -> (u^2 x, u^3 y): a_i -> a_i / u^i."""
-    u = Fraction(u)
-    a1, a2, a3, a4, a6 = E.ainvs
-    return CurveModel(a1 / u, a2 / u**2, a3 / u**3, a4 / u**4, a6 / u**6)
-
-
 def parse_ainvs(text: str) -> CurveModel:
-    """Parse the CLI curve notation "a1,a2,a3,a4,a6" (integers or fractions)."""
+    """Parse the CLI curve notation "a1,a2,a3,a4,a6" (integers or fractions);
+    a rational model is scaled to an integral one by from_ainvs."""
     parts = [s.strip() for s in text.strip().strip("[]").split(",")]
     if len(parts) != 5:
         raise ValueError(f"expected 5 a-invariants, got {len(parts)}")
@@ -165,20 +136,17 @@ def parse_ainvs(text: str) -> CurveModel:
 # minimal models (Laska-Kraus-Connell)
 
 
-def _model_from_c4c6(c4: Fraction, c6: Fraction) -> CurveModel | None:
+def _model_from_c4c6(c4: int, c6: int) -> CurveModel | None:
     """Reduced integral model with the given invariants, or None.
 
     Scans the twelve admissible b2 residues; a reduced model (a1, a3 in {0,1},
     a2 in {-1,0,1}) exists whenever any integral model does.
     """
-    if c4.denominator != 1 or c6.denominator != 1:
-        return None
-    c4i, c6i = int(c4), int(c6)
     for b2 in range(-5, 7):
-        if (b2 * b2 - c4i) % 24:
+        if (b2 * b2 - c4) % 24:
             continue
-        b4 = (b2 * b2 - c4i) // 24
-        num = -(b2**3) + 36 * b2 * b4 - c6i
+        b4 = (b2 * b2 - c4) // 24
+        num = -(b2**3) + 36 * b2 * b4 - c6
         if num % 216:
             continue
         b6 = num // 216
@@ -193,7 +161,7 @@ def _model_from_c4c6(c4: Fraction, c6: Fraction) -> CurveModel | None:
         if (b4 - a1 * a3) % 2:
             continue
         a4 = (b4 - a1 * a3) // 2
-        M = CurveModel.from_ainvs((a1, a2, a3, a4, a6))
+        M = CurveModel(a1, a2, a3, a4, a6)
         if M.c4 == c4 and M.c6 == c6:
             return M
     return None
@@ -206,42 +174,32 @@ def minimal_model(E: CurveModel) -> CurveModel:
     if disc == 0:
         raise SingularCurve(f"singular model {E}")
 
-    # u can move only at primes dividing every nonzero numerator (p | u) or
-    # some denominator (p | 1/u); at any other prime the floor below is 0.
-    support = [math.gcd(c4.numerator, c6.numerator, disc.numerator)]
-    support += (c4.denominator, c6.denominator, disc.denominator)
-    exps: dict[int, int] = {}
-    for p in {p for n in support for p in prime_divisors(n)}:
-        vals = [Fraction(valuation(disc, p), 12)]
-        if c4 != 0:
-            vals.append(Fraction(valuation(c4, p), 4))
-        if c6 != 0:
-            vals.append(Fraction(valuation(c6, p), 6))
-        exps[p] = math.floor(min(vals))
-    u0 = Fraction(1)
-    for p, e in exps.items():
-        u0 *= Fraction(p) ** e
+    # u can move only at primes dividing c4, c6 and disc; at any other prime
+    # the floor below is 0.
+    u0 = 1
+    for p in prime_divisors(math.gcd(c4, c6, disc)):
+        e = valuation(disc, p) // 12
+        if c4:
+            e = min(e, valuation(c4, p) // 4)
+        if c6:
+            e = min(e, valuation(c6, p) // 6)
+        u0 *= p**e
 
     # The floor exponents can overshoot admissibility at 2 and 3 only; try the
-    # largest few candidates in decreasing order and keep the first that
+    # largest few divisors of u0 in decreasing order and keep the first that
     # rebuilds into an integral model.
-    candidates = sorted(
-        {u0 / (2**f2 * 3**f3) for f2, f3 in product(range(3), range(3))},
-        reverse=True,
-    )
+    candidates = sorted({u0 // q for q in (1, 2, 3, 4, 6, 9, 12, 18, 36) if u0 % q == 0}, reverse=True)
     for u in candidates:
-        M = _model_from_c4c6(c4 / u**4, c6 / u**6)
+        M = _model_from_c4c6(c4 // u**4, c6 // u**6)
         if M is not None:
-            if M.discriminant != disc / u**12:
+            if M.discriminant * u**12 != disc:
                 raise RuntimeError(f"minimal model bookkeeping failed for {E}")
             return M
     raise RuntimeError(f"no admissible rescaling found for {E}")
 
 
 def is_minimal_at(E: CurveModel, p: int) -> bool:
-    """True iff the integral model E is already minimal at p."""
-    if not E.is_integral:
-        return False
+    """True iff E is already minimal at p."""
     M = minimal_model(E)  # raises SingularCurve on degenerate input
     return valuation(E.discriminant, p) == valuation(M.discriminant, p)
 
@@ -320,7 +278,7 @@ def quadratic_twist(E: CurveModel, d: int) -> CurveModel:
     if not is_squarefree(abs(d)):
         raise NotSquarefree(f"{d} is not squarefree")
     c4, c6 = E.c4, E.c6
-    short = CurveModel.from_ainvs((0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3))
+    short = CurveModel(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
     return minimal_model(short)
 
 
@@ -328,21 +286,6 @@ def quadratic_twist(E: CurveModel, d: int) -> CurveModel:
 # exact affine group law (points are (x, y) Fractions; None is the origin)
 
 Point = tuple[Fraction, Fraction] | None
-
-
-def on_curve(E: CurveModel, P: Point) -> bool:
-    if P is None:
-        return True
-    x, y = P
-    a1, a2, a3, a4, a6 = E.ainvs
-    return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
-
-
-def point_neg(E: CurveModel, P: Point) -> Point:
-    if P is None:
-        return None
-    x, y = P
-    return (x, -y - E.a1 * x - E.a3)
 
 
 def point_add(E: CurveModel, P: Point, Q: Point) -> Point:
@@ -366,8 +309,7 @@ def point_add(E: CurveModel, P: Point, Q: Point) -> Point:
 
 
 def point_mul(E: CurveModel, k: int, P: Point) -> Point:
-    if k < 0:
-        return point_mul(E, -k, point_neg(E, P))
+    """k P, for k >= 0."""
     R: Point = None
     Q = P
     while k:

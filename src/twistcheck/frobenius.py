@@ -79,7 +79,7 @@ def shared_traces() -> Iterator[dict[tuple[int, int], int]]:
 
 
 def count_points(E: CurveModel, p: int) -> int:
-    """#E~(F_p) for a prime of good reduction (E integral and minimal at p).
+    """#E~(F_p) for a prime of good reduction (E minimal at p).
 
     For p >= 5 E is isomorphic over F_p to y^2 = x^3 + A x + B with
     A = -27 c4 and B = -54 c6.  When A B != 0 mod p that is the quadratic
@@ -90,11 +90,10 @@ def count_points(E: CurveModel, p: int) -> int:
     mod p), E is counted directly.
     """
     if p == 2:
-        a1, a2, a3, a4, a6 = E.integer_ainvs()
+        a1, a2, a3, a4, a6 = E.ainvs
         pairs = ((x, y) for x in (0, 1) for y in (0, 1))
         return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0 for x, y in pairs)
-    b2, b4, b6, _, c4, c6, _ = E.integer_invariants()
-    c4, c6 = c4 % p, c6 % p
+    c4, c6 = E.c4 % p, E.c6 % p
     if _traces is not None and p > 3 and c4 * c6 % p:
         K = -27 * c4 * c4 * c4 * pow(4 * c6 * c6, -1, p) % p
         t = _traces.get((K, p))
@@ -102,7 +101,7 @@ def count_points(E: CurveModel, p: int) -> int:
             t = _traces[K, p] = _shared_trace(K, p)
         return p + 1 - kronecker(2 * c4 * c6, p) * t
     if p < BSGS_MIN_P:
-        return p + 1 + _char_sum(b2 % p, b4 % p, b6 % p, p)
+        return p + 1 + _char_sum(E.b2 % p, E.b4 % p, E.b6 % p, p)
     return p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p)
 
 
@@ -246,10 +245,8 @@ def _trace_bsgs(A: int, B: int, p: int) -> int:
 
 @cache
 def ap(E: CurveModel, p: int) -> ApRecord:
-    """Trace of Frobenius at p (E must be integral and minimal at p)."""
-    if not E.is_integral:
-        raise NotMinimalAtP(f"model {E} is not minimal at {p}")
-    if E.integer_invariants()[6] % p:  # an integral model is minimal at p when p does not divide disc
+    """Trace of Frobenius at p (E must be minimal at p)."""
+    if E.discriminant % p:  # a model is minimal at p when p does not divide disc
         return ApRecord(p, p + 1 - count_points(E, p), GOOD)
     if not is_minimal_at(E, p):
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")
@@ -301,6 +298,6 @@ def is_ordinary(E: CurveModel, p: int) -> str:
     if p < 5:
         raise SmallPrime("classification requires p >= 5")
     M = minimal_model(E)
-    if int(M.discriminant) % p == 0:
+    if M.discriminant % p == 0:
         raise BadReduction(f"{p} divides the conductor")
     return "ordinary" if ap(M, p).a_p % p else "supersingular"

@@ -37,7 +37,7 @@ ADDITIVE = "additive"
 
 
 class NotMinimalAtP(ValueError):
-    """The supplied model is not integral and minimal at the given prime."""
+    """The supplied model is not minimal at the given prime."""
 
 
 @dataclass(frozen=True)
@@ -224,14 +224,11 @@ def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
 def tate_local(E: CurveModel, p: int) -> LocalData:
     """Kodaira type, conductor exponent and Tamagawa number of E at p.
 
-    E must be integral and minimal at p; non-minimal input is rejected, not
-    fixed up.
+    E must be minimal at p; non-minimal input is rejected, not fixed up.
     """
-    if not E.is_integral:
-        raise NotMinimalAtP(f"model {E} is not integral")
     if not is_minimal_at(E, p):
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")
-    ld = _tate_minimal(E.integer_ainvs(), p)
+    ld = _tate_minimal(E.ainvs, p)
     if ld.kind == ADDITIVE:
         if ld.f < 2 or (p >= 5 and ld.f > 2) or (p == 3 and ld.f > 5) or (p == 2 and ld.f > 8):
             raise ArithmeticError(f"impossible conductor exponent {ld.f} at {p}")
@@ -242,10 +239,9 @@ def tate_local(E: CurveModel, p: int) -> LocalData:
 def conductor(E: CurveModel) -> ConductorReport:
     """Global conductor with the per-prime breakdown (minimalizes internally)."""
     M = minimal_model(E)
-    disc = int(M.discriminant)
     locals_: list[LocalData] = []
     N = 1
-    for p, _ in factorize(disc):
+    for p, _ in factorize(M.discriminant):
         ld = tate_local(M, p)
         locals_.append(ld)
         N *= p**ld.f

@@ -83,11 +83,6 @@ def period_of_model(E: CurveModel) -> float:
     return math.pi / _agm(math.sqrt((R + m) / 2.0), math.sqrt(R))
 
 
-def real_period(E: CurveModel) -> float:
-    """Total real period of the minimal model of E (accuracy ~1e-12 relative)."""
-    return period_of_model(minimal_model(E))
-
-
 # ---------------------------------------------------------------------------
 # L(E, 1)
 

@@ -97,7 +97,7 @@ def torsion_subgroup(E: CurveModel) -> TorsionStructure:
 
     # (ii) the l-part lies in E[n], n = gcd(bound, 8 | 9 | 5 | 7) by Mazur; its
     # points are integral on Y^2 = X^3 + A X + B (Lutz-Nagell)
-    A, B = -27 * int(M.c4), -54 * int(M.c6)
+    A, B = -27 * M.c4, -54 * M.c6
     group: list[Point] = [None]
     for n in (math.gcd(bound, q) for q in (8, 9, 5, 7)):
         part: list[Point] = [None]
@@ -105,7 +105,7 @@ def torsion_subgroup(E: CurveModel) -> TorsionStructure:
             Y2 = (X * X + A) * X + B
             Y = math.isqrt(max(Y2, 0))
             if Y * Y == Y2:
-                x = Fraction(X - 3 * int(M.b2), 36)
+                x = Fraction(X - 3 * M.b2, 36)
                 part += [(x, (y - 108 * (M.a1 * x + M.a3)) / 216) for y in {Y, -Y}]
         group = [point_add(M, P, Q) for P in group for Q in part]
 
@@ -147,12 +147,6 @@ def _division_polynomial(A: int, B: int, n: int) -> list[int]:
             v = pol_mul(g[m], pol_mul(g[m - 2], pol_mul(g[m + 1], g[m + 1])))
         g.append(pol_trim([a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]))
     return g[n] if n % 2 else pol_mul(g[n], F)
-
-
-def two_torsion_rational(E: CurveModel) -> bool:
-    """True iff all 2-torsion is rational (the 2-division cubic splits over Q)."""
-    M = minimal_model(E)
-    return len(integer_roots([-54 * int(M.c6), -27 * int(M.c4), 0, 1])) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,7 @@ def mod_l_image(E: CurveModel, l: int, sample_bound: int = 10_000) -> GaloisImag
 
 def _mod3_image(M: CurveModel, N: int, sample_bound: int) -> GaloisImageVerdict:
     # psi_3 of the short model: X = 36 x + 3 b2 keeps factorization patterns at p >= 5
-    psi3 = _division_polynomial(-27 * int(M.c4), -54 * int(M.c6), 3)
+    psi3 = _division_polynomial(-27 * M.c4, -54 * M.c6, 3)
     need = {"four_cycle": None, "three_cycle": None}
     for p in sieve_primes(sample_bound):
         if p < 5 or (3 * N) % p == 0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twistcheck.arith import _depressed_cubic_roots, factorize
-from twistcheck.curves import CurveModel, base_curve, minimal_model, point_order
+from twistcheck.curves import CurveModel, Point, base_curve, minimal_model, point_order, rst
 
 
 @pytest.fixture(scope="session")
@@ -32,12 +32,38 @@ def random_curves(count: int, seed: int = 42, coeff_bound: int = 9) -> list[Curv
     return out
 
 
+def rst_transform(E: CurveModel, r: int, s: int, t: int) -> CurveModel:
+    """E after x = x' + r, y = y' + s x' + t."""
+    return CurveModel(*rst(E.ainvs, r, s, t))
+
+
+def scale_up(E: CurveModel, u: int) -> CurveModel:
+    """E in the coordinates (u^2 x, u^3 y): a_i -> u^i a_i, a model of the same
+    curve that is not minimal at the primes dividing u."""
+    return CurveModel(*(a * u**i for a, i in zip(E.ainvs, (1, 2, 3, 4, 6))))
+
+
+def on_curve(E: CurveModel, P: Point) -> bool:
+    if P is None:
+        return True
+    x, y = P
+    a1, a2, a3, a4, a6 = E.ainvs
+    return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
+
+
+def point_neg(E: CurveModel, P: Point) -> Point:
+    if P is None:
+        return None
+    x, y = P
+    return (x, -y - E.a1 * x - E.a3)
+
+
 @cache
 def exact_count(E: CurveModel, p: int) -> int:
     """#E~(F_p) at an odd good prime by one vectorized O(p) pass: p + 1 plus
     the sum of chi(4x^3 + b2 x^2 + 2 b4 x + b6) over x in F_p.  The reference
     the program's point counts are tested against."""
-    b2, b4, b6 = E.integer_invariants()[:3]
+    b2, b4, b6 = E.b2, E.b4, E.b6
     x = np.arange(p, dtype=np.int64)
     g = (4 * x + b2 % p) % p
     g = (g * x + 2 * b4 % p) % p
@@ -54,9 +80,9 @@ def scan_torsion(E: CurveModel) -> tuple[int, ...]:
     Y = 0 or Y^2 | 4 A^3 + 27 B^2 = -2^8 3^12 disc.  The reference
     torsion_subgroup is tested against."""
     M = minimal_model(E)
-    A, B = -27 * int(M.c4), -54 * int(M.c6)
+    A, B = -27 * M.c4, -54 * M.c6
     exps = {2: 8, 3: 12}
-    for p, e in factorize(int(M.discriminant)):
+    for p, e in factorize(M.discriminant):
         exps[p] = exps.get(p, 0) + e
     ys = [1]
     for p, e in exps.items():
@@ -68,7 +94,7 @@ def scan_torsion(E: CurveModel) -> tuple[int, ...]:
         if any(y * y % q not in v for q, v in values.items()):
             continue
         for X in _integer_cubic_roots(A, B - y * y):
-            x = Fraction(X - 3 * int(M.b2), 36)
+            x = Fraction(X - 3 * M.b2, 36)
             for Y in {y, -y}:
                 order = point_order(M, (x, (Y - 108 * (M.a1 * x + M.a3)) / 216), 12)
                 orders += [order] if order else []

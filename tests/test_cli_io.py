@@ -144,6 +144,12 @@ class TestCli:
         assert rc == 0
         assert json.loads(out)["conductor"] == 15
 
+    def test_curve_with_a_leading_minus(self, capsys):
+        rc, out, _ = run_cli(capsys, ["invariants", "--curve=-1,0,0,-1,0", "--json"])
+        assert rc == 0
+        rc, same, _ = run_cli(capsys, ["invariants", "--curve", "1,0,0,-1,0", "--json"])
+        assert json.loads(out)["conductor"] == json.loads(same)["conductor"]
+
     def test_table_json_all_match(self, capsys):
         rc, out, _ = run_cli(capsys, ["table", "--which", "1", "--json"])
         assert rc == 0

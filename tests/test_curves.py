@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_curves
-from twistcheck.arith import NotSquarefree, valuation
+from conftest import on_curve, point_neg, random_curves, rst_transform
+from twistcheck.arith import NotSquarefree, iroot, valuation
 from twistcheck.curves import (
     CurveModel,
     _validated_base_curve,
     Family,
     SingularCurve,
     base_curve,
-    invariants,
     minimal_model,
-    on_curve,
     parse_ainvs,
     point_add,
     point_mul,
-    point_neg,
     point_order,
     quadratic_twist,
-    rst_transform,
+    weierstrass_invariants,
 )
 
 J15 = Fraction(13**3 * 37**3, 3**4 * 5**4)
@@ -37,14 +34,17 @@ class TestInvariants:
 
     def test_identities_on_corpus(self, x15, x21):
         for E in random_curves(25) + [x15, x21]:
-            b2, b4, b6, b8, c4, c6, disc, j = invariants(E)
+            b2, b4, b6, b8, c4, c6, disc = E.b2, E.b4, E.b6, E.b8, E.c4, E.c6, E.discriminant
             assert 4 * b8 == b2 * b6 - b4 * b4
             assert 1728 * disc == c4**3 - c6**2
-            assert j == c4**3 / disc
+            assert E.j == Fraction(c4**3, disc)
 
     def test_singular_rejected(self):
+        E = CurveModel.from_ainvs((0, 0, 0, 0, 0))
         with pytest.raises(SingularCurve):
-            invariants(CurveModel.from_ainvs((0, 0, 0, 0, 0)))
+            E.j
+        with pytest.raises(SingularCurve):
+            minimal_model(E)
 
     def test_rst_leaves_c_invariants_fixed(self, x15):
         rng = random.Random(7)
@@ -58,12 +58,12 @@ class TestInvariants:
 
 class TestBaseCurves:
     def test_x15(self, x15):
-        assert x15.integer_ainvs() == (1, 1, 1, -10, -10)
+        assert x15.ainvs == (1, 1, 1, -10, -10)
         assert x15.j == J15
         assert x15.discriminant == 3**4 * 5**4
 
     def test_x21(self, x21):
-        assert x21.integer_ainvs() == (1, 0, 0, -4, -1)
+        assert x21.ainvs == (1, 0, 0, -4, -1)
         assert x21.j == J21
         assert x21.discriminant == 3**4 * 7**2
 
@@ -96,14 +96,18 @@ class TestMinimalModel:
             assert minimal_model(M) == M
 
     def test_rational_input(self):
-        E = CurveModel.from_ainvs((0, 0, 0, Fraction(-1, 16), Fraction(1, 64)))
+        a = (0, 0, 0, Fraction(-1, 16), Fraction(1, 64))
+        E = CurveModel.from_ainvs(a)  # scaled by u = 64
+        assert E.ainvs == (0, 0, 0, -(2**20), 2**30)
+        *_, c4, c6, disc = weierstrass_invariants(a)
+        assert E.j == c4**3 / disc
         M = minimal_model(E)
-        assert M.is_integral
+        assert M.ainvs == (0, 0, 0, -1, 1)  # a_i -> 2^i a_i
         assert M.j == E.j
 
     def test_twist_13_bad_primes(self, x15):
         M = quadratic_twist(x15, 13)
-        disc = int(M.discriminant)
+        disc = M.discriminant
         for p in (2, 7, 11):
             assert disc % p != 0
         for p in (3, 5, 13):
@@ -168,11 +172,33 @@ class TestGroupLaw:
         assert lhs == rhs
 
 
+def test_from_ainvs_scales_rational_input_once():
+    rng = random.Random(20261019)
+    dens = (1, 2, 3, 4, 6, 9, 12)
+    seen = 0
+    while seen < 300:
+        a = tuple(Fraction(rng.randint(-300, 300), rng.choice(dens)) for _ in range(5))
+        *_, c4, c6, disc = weierstrass_invariants(a)
+        if disc == 0:
+            continue
+        seen += 1
+        E = CurveModel.from_ainvs(a)
+        fields = (*E.ainvs, E.b2, E.b4, E.b6, E.b8, E.c4, E.c6, E.discriminant)
+        assert all(type(v) is int for v in fields), a
+        scale = E.discriminant / disc
+        u = iroot(scale.numerator, 12)
+        assert scale == u**12, a
+        assert (E.c4, E.c6) == (c4 * u**4, c6 * u**6), a
+        assert E.j == c4**3 / disc
+        assert CurveModel.from_ainvs(E.ainvs).ainvs == E.ainvs  # integral input is kept
+
+
 def test_parse_ainvs():
     E = parse_ainvs("1,1,1,-10,-10")
-    assert E.integer_ainvs() == (1, 1, 1, -10, -10)
+    assert E.ainvs == (1, 1, 1, -10, -10)
     assert parse_ainvs(" [0, 0, 0, -1, 0] ").ainvs == CurveModel.from_ainvs((0, 0, 0, -1, 0)).ainvs
-    assert parse_ainvs("1/2,1/3,0,-1,1/4").a6 == Fraction(1, 4)
+    # scaled by u = lcm(2, 3, 4) = 12: a_i -> 12^i a_i
+    assert parse_ainvs("1/2,1/3,0,-1,1/4").ainvs == (6, 48, 0, -(12**4), 12**6 // 4)
     with pytest.raises(ValueError):
         parse_ainvs("1,2,3")
     for text, field in (("0,0,0,0,1/0", "a6"), ("0,x,0,0,1", "a2"), ("0,0,0,1e999999999,0", "a4")):

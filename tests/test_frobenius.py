@@ -29,7 +29,7 @@ from twistcheck.torsion_galois import torsion_subgroup
 
 def naive_count(E: CurveModel, p: int) -> int:
     """Independent O(p^2) oracle on the original long equation."""
-    a1, a2, a3, a4, a6 = E.integer_ainvs()
+    a1, a2, a3, a4, a6 = E.ainvs
     n = 1
     for x in range(p):
         for y in range(p):
@@ -43,7 +43,7 @@ def euler_product_coefficients(E: CurveModel, n_max: int) -> list[int]:
     multiply the resulting Dirichlet series, never using the a_{p^k} recursion."""
     coeffs = [0] * (n_max + 1)
     coeffs[1] = 1
-    disc = int(E.discriminant)
+    disc = E.discriminant
     for p in sieve_primes(n_max):
         rec = ap(E, p)
         # local factor 1 - a_p T (+ p T^2 at good p); series-invert it
@@ -73,7 +73,7 @@ def euler_product_coefficients(E: CurveModel, n_max: int) -> list[int]:
 class TestAp:
     def test_matches_naive_oracle(self):
         for E in random_curves(10, seed=42):
-            disc = int(E.discriminant)
+            disc = E.discriminant
             for p in sieve_primes(100):
                 if disc % p == 0:
                     continue
@@ -95,7 +95,7 @@ class TestAp:
         kinds = set()
         for E in random_curves(60, seed=7, coeff_bound=40):
             M = minimal_model(E)
-            for p in prime_divisors(int(M.discriminant)):
+            for p in prime_divisors(M.discriminant):
                 if p <= 200:
                     rec = ap(M, p)
                     assert rec.a_p == p + 1 - naive_count(M, p), (M, p)
@@ -114,7 +114,7 @@ class TestAp:
 
     def test_hasse_bound_sample(self, x15, x21):
         for E in (x15, x21):
-            disc = int(E.discriminant)
+            disc = E.discriminant
             for p in sieve_primes(2000):
                 if disc % p == 0:
                     continue
@@ -138,7 +138,7 @@ class TestAp:
 
 def bsgs_primes(E: CurveModel, limit: int) -> list[int]:
     """Good primes of E from BSGS_MIN_P to limit."""
-    disc = E.integer_invariants()[6]
+    disc = E.discriminant
     return [p for p in sieve_primes(limit) if p >= BSGS_MIN_P and disc % p]
 
 
@@ -164,7 +164,7 @@ class TestBsgs:
     def test_primes_just_above_the_threshold(self):
         curves = [minimal_model(E) for E in random_curves(12, seed=8)]
         for E in curves:
-            c4, c6 = E.integer_invariants()[4:6]
+            c4, c6 = E.c4, E.c6
             for p in bsgs_primes(E, 2 * BSGS_MIN_P)[:6]:
                 n = exact_count(E, p)
                 assert count_points(E, p) == n, (E, p)
@@ -186,7 +186,7 @@ class TestBsgs:
     def test_prime_near_a_million(self, x15):
         E = quadratic_twist(x15, 4999)
         p = 999983
-        assert E.integer_invariants()[6] % p
+        assert E.discriminant % p
         assert count_points(E, p) == exact_count(E, p)
 
     def test_twist_compatibility_above_1e5(self, x15):
@@ -216,7 +216,7 @@ class TestBsgs:
 
 
 def good_primes(E: CurveModel, primes) -> list[int]:
-    disc = E.integer_invariants()[6]
+    disc = E.discriminant
     return [p for p in primes if disc % p]
 
 
@@ -260,7 +260,7 @@ class TestSharedTrace:
         with shared_traces() as traces:
             for E in random_curves(40, seed=23, coeff_bound=300):
                 M = minimal_model(E)
-                c4, c6 = M.integer_invariants()[4:6]
+                c4, c6 = M.c4, M.c6
                 for p in good_primes(M, [3, *(q for q in prime_divisors(c4 * c6 or 1) if 3 < q < 20000)]):
                     assert count_points(M, p) == exact_count(M, p), (M, p)
                     above += p >= BSGS_MIN_P

@@ -50,14 +50,14 @@ class TestTateLocal:
     def test_rejects_nonintegral(self):
         from fractions import Fraction
 
-        E = CurveModel.from_ainvs((0, 0, 0, Fraction(1, 4), 0))
+        E = CurveModel.from_ainvs((0, 0, 0, Fraction(1, 4), 0))  # scaled to (0, 0, 0, 64, 0)
         with pytest.raises(NotMinimalAtP):
             tate_local(E, 2)
 
     def test_local_invariant_consistency(self, x15, x21):
         for E in random_curves(20, seed=3) + [x15, x21]:
             M = minimal_model(E)
-            for p, _ in factorize(int(M.discriminant)):
+            for p, _ in factorize(M.discriminant):
                 ld = tate_local(M, p)
                 if ld.kind == GOOD:
                     assert ld.kodaira == "I0" and ld.f == 0
@@ -168,7 +168,7 @@ class TestConductor:
     def test_listed_primes_are_bad_primes(self, x15):
         M = quadratic_twist(x15, 6)
         rep = conductor(M)
-        assert {ld.p for ld in rep.local_data} == {p for p, _ in factorize(int(M.discriminant))}
+        assert {ld.p for ld in rep.local_data} == {p for p, _ in factorize(M.discriminant)}
         N = 1
         for p, e in rep.factorization:
             N *= p**e

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_curves
+from conftest import random_curves, scale_up
 from twistcheck import lseries
-from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist, u_scale
+from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import an_coefficients
 from twistcheck.local_invariants import conductor
 from twistcheck.lseries import (
@@ -17,7 +17,6 @@ from twistcheck.lseries import (
     algebraic_l_ratio,
     is_p_adic_unit,
     period_of_model,
-    real_period,
 )
 from twistcheck.tabledata import TABLE1, TABLE2
 
@@ -80,12 +79,13 @@ class TestRealPeriod:
     def test_scaling_law(self, x15):
         # (x, y) -> (u^2 x, u^3 y) divides the period by u
         for u in (2, 3):
-            scaled = u_scale(x15, Fraction(1, u))  # a_i -> u^i a_i
+            scaled = scale_up(x15, u)  # a_i -> u^i a_i
             assert abs(period_of_model(scaled) - period_of_model(x15) / u) < 1e-12
 
     def test_minimalizes_internally(self, x15):
-        blown_up = u_scale(x15, Fraction(1, 6))
-        assert abs(real_period(blown_up) - real_period(x15)) < 1e-13
+        blown_up = scale_up(x15, 6)
+        assert abs(period_of_model(minimal_model(blown_up)) - period_of_model(x15)) < 1e-13
+        assert abs(algebraic_l_ratio(blown_up).omega - period_of_model(x15)) < 1e-13
 
 
 class TestLValue:
@@ -134,15 +134,15 @@ class TestLValue:
     def test_l_value_fields(self, x15):
         res = algebraic_l_ratio(x15)
         assert res.root_number == 1
-        assert res.omega == real_period(x15)
-        assert abs(res.l1 / real_period(x15) - 0.125) < 1e-9
+        assert res.omega == period_of_model(x15)
+        assert abs(res.l1 / period_of_model(x15) - 0.125) < 1e-9
 
     def test_one_cache_entry_per_request(self, x15):
         Ed = quadratic_twist(x15, 2)
         _algebraic_l_ratio.cache_clear()
         first = algebraic_l_ratio(Ed)
         assert algebraic_l_ratio(Ed) is first
-        assert algebraic_l_ratio(u_scale(Ed, 2)) is first  # a non-minimal model of the same curve
+        assert algebraic_l_ratio(scale_up(Ed, 2)) is first  # a non-minimal model of the same curve
         info = _algebraic_l_ratio.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
