@@ -179,11 +179,14 @@ def prime_divisors(n: int) -> list[int]:
 
 def valuation(q, p: int) -> int:
     """p-adic valuation of a nonzero rational (ZeroInput at 0)."""
-    q = Fraction(q)
-    if q == 0:
+    if isinstance(q, int):  # every caller in the curve layers passes ints
+        num, den = q, 1
+    else:
+        q = Fraction(q)
+        num, den = q.numerator, q.denominator
+    if num == 0:
         raise ZeroInput("valuation of 0 is +infinity; callers must branch")
     v = 0
-    num, den = q.numerator, q.denominator
     while num % p == 0:
         num //= p
         v += 1

@@ -12,7 +12,12 @@ residues.  From BSGS_MIN_P up it is Shanks-Mestre baby-step giant-step,
 O(p^(1/4)) group operations (Cohen, GTM 138, section 7.4; PARI's ellap does
 the same): every point tried rules out the traces in the Hasse interval
 whose group order does not kill it, and the count is returned only when one
-trace is left, so it is exact, not probable.  L-series of twists with
+trace is left, so it is exact, not probable.  The candidates start as the
+traces t = p + 1 (mod m), where m = 1, 2 or 4 is the order of the rational
+2-torsion E(Q)[2]: its points stay distinct mod a good p >= 5, so E(F_p)
+has a subgroup of order m and m divides #E(F_p) = p + 1 - t.  The traces
+dropped are never the true one.  Every twist of 15A1 and 21A1 has m = 4,
+so BSGS searches a quarter of the Hasse interval.  L-series of twists with
 conductors near 6 * 10^9 need primes up to about 5.6 * 10^5, where an O(p)
 pass would cost tens of milliseconds a prime.
 """
@@ -25,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import kronecker, sieve_primes, smallest_prime_factors
+from .arith import integer_roots, kronecker, sieve_primes, smallest_prime_factors
 from .curves import CurveModel, is_minimal_at, minimal_model
 from .local_invariants import (
     ADDITIVE,
@@ -87,7 +92,9 @@ def count_points(E: CurveModel, p: int) -> int:
     K = A^3 / B^2 = -27 c4^3 / (4 c6^2), so #E~(F_p) = p + 1 - (2 c4 c6 / p)
     t(K, p).  Inside shared_traces() t(K, p) is counted once per (K mod p, p).
     Elsewhere, and at p = 2, 3 and where p divides c4 c6 (j = 1728 or 0
-    mod p), E is counted directly.
+    mod p), E is counted directly.  From BSGS_MIN_P up, BSGS starts from
+    what E(Q)[2] proves: its order m divides #E~(F_p), so E's trace is
+    p + 1 and t(K, p) is (2 c4 c6 / p) (p + 1), both mod m.
     """
     if p == 2:
         a1, a2, a3, a4, a6 = E.ainvs
@@ -96,20 +103,27 @@ def count_points(E: CurveModel, p: int) -> int:
     c4, c6 = E.c4 % p, E.c6 % p
     if _traces is not None and p > 3 and c4 * c6 % p:
         K = -27 * c4 * c4 * c4 * pow(4 * c6 * c6, -1, p) % p
+        chi = kronecker(2 * c4 * c6, p)
         t = _traces.get((K, p))
         if t is None:
-            t = _traces[K, p] = _shared_trace(K, p)
-        return p + 1 - kronecker(2 * c4 * c6, p) * t
+            if p < BSGS_MIN_P:
+                t = -_char_sum(0, 2 * K, 4 * K, p)  # the b-invariants of the model
+            else:
+                t = _trace_bsgs(K, K, p, _two_torsion_order(E.c4, E.c6), chi * (p + 1))
+            _traces[K, p] = t
+        return p + 1 - chi * t
     if p < BSGS_MIN_P:
         return p + 1 + _char_sum(E.b2 % p, E.b4 % p, E.b6 % p, p)
-    return p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p)
+    return p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p, _two_torsion_order(E.c4, E.c6), p + 1)
 
 
-def _shared_trace(K: int, p: int) -> int:
-    """Trace of y^2 = x^3 + K x + K over F_p, p >= 5 and K (4 K + 27) != 0."""
-    if p < BSGS_MIN_P:
-        return -_char_sum(0, 2 * K, 4 * K, p)  # the b-invariants of the model
-    return _trace_bsgs(K, K, p)
+@cache
+def _two_torsion_order(c4: int, c6: int) -> int:
+    """Order 1, 2 or 4 of E(Q)[2]: one plus the number of integer roots X of
+    X^3 - 27 c4 X - 54 c6, the points (X, 0) of order 2 on
+    Y^2 = X^3 - 27 c4 X - 54 c6.  The cubic's discriminant is 2^8 3^12 disc,
+    so at a good p >= 5 the roots stay distinct mod p."""
+    return 1 + len(integer_roots([-54 * c6, -27 * c4, 0, 1]))
 
 
 def _char_sum(b2: int, b4: int, b6: int, p: int) -> int:
@@ -150,39 +164,70 @@ def _neg(P, p: int):
 
 
 def _mul(k: int, P, a: int, p: int):
+    """k P, left to right in Jacobian coordinates (X, Y, Z) = (x Z^2, y Z^3),
+    Z = 0 the origin: doublings and mixed additions of P, one inversion."""
     if k < 0:
         k, P = -k, _neg(P, p)
-    R = None
-    while k:
-        if k & 1:
-            R = _add(R, P, a, p)
-        k >>= 1
-        if k:
-            P = _add(P, P, a, p)
-    return R
+    if not k or P is None:
+        return None
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        YY = Y * Y % p  # doubling; Y = 0 (order 2) gives Z = 0
+        S = 4 * X * YY % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + a * ZZ * ZZ) % p
+        Z = 2 * Y * Z % p
+        X = (M * M - 2 * S) % p
+        Y = (M * (S - X) - 8 * YY * YY) % p
+        if bit == "0":
+            continue
+        if not Z:
+            X, Y, Z = x, y, 1
+            continue
+        ZZ = Z * Z % p  # mixed addition of P
+        H = (x * ZZ - X) % p
+        r = (y * ZZ * Z - Y) % p
+        if not H:  # the sum so far is P (r = 0) or -P
+            D = None if r else _add(P, P, a, p)
+            X, Y, Z = (*D, 1) if D else (1, 1, 0)
+            continue
+        HH = H * H % p
+        HHH = H * HH
+        V = X * HH
+        X = (r * r - HHH - 2 * V) % p
+        Y = (r * (V - X) - Y * HHH) % p
+        Z = Z * H % p
+    if not Z:
+        return None
+    w = pow(Z, -1, p)
+    ww = w * w % p
+    return X * ww % p, Y * ww * w % p
 
 
 def _solutions(Q, R, count: int, a: int, p: int):
     """Every k in [0, count) with k R = Q, ascending.
 
-    Baby steps j R, 0 <= j <= m, are stored by x; a giant step Q - c R that
+    Baby steps j R, 1 <= j <= m, are stored by x; a giant step Q - c R that
     meets j R or -j R gives k = c + j or c - j, told apart by y.  When a baby
-    step reaches the origin, a point of order 2 or an x already stored, R has
-    order o <= 2m, the stored steps hold all of <R> up to sign, and the
-    solutions are k0, k0 + o, ...  Otherwise o > 2m, so each giant window of
-    2m + 1 values of k holds at most one solution.
+    step meets an x already stored or a point of order 2, R has order
+    o <= 2m, the stored steps hold all of <R> up to sign, and the solutions
+    are k0, k0 + o, ...  Otherwise o > 2m, so each giant window of 2m + 1
+    values of k holds at most one solution.
     """
+    if R is None:
+        return range(count) if Q is None else range(0)
     m = math.isqrt(count // 2) + 1
     table: dict[int, tuple[int, int]] = {}
-    S = None
+    x, y = rx, ry = R
     for j in range(1, m + 1):
-        S = _add(S, R, a, p)
-        if S is None:
-            order = j
-            break
-        x, y = S
+        if j > 1:  # j R = (j - 1) R + R: a tangent at j = 2, then chords, since
+            # an x equal to rx past j = 1 would have stopped the loop
+            lam = ((y - ry) * pow(x - rx, -1, p) if j > 2 else (3 * x * x + a) * pow(2 * y, -1, p)) % p
+            nx = (lam * lam - x - rx) % p
+            x, y = nx, (lam * (x - nx) - y) % p
         hit = table.get(x)
-        if hit is not None:  # S = -(hit) R
+        if hit is not None:  # j R = -(hit) R
             order = j + hit[0]
             break
         table[x] = (j, y)
@@ -191,14 +236,22 @@ def _solutions(Q, R, count: int, a: int, p: int):
             break
     else:
         found = []
+        S = (x, y)
         G = _add(Q, _neg(S, p), a, p)  # Q - m R
         step = _neg(_add(_add(S, S, a, p), R, a, p), p)  # -(2m + 1) R
         for c in range(m, count + m, 2 * m + 1):
+            if c > m:  # G = Q - c R
+                if G is None or step is None or G[0] == step[0]:
+                    G = _add(G, step, a, p)
+                else:
+                    (gx, gy), (sx, sy) = G, step
+                    lam = (sy - gy) * pow(sx - gx, -1, p) % p
+                    nx = (lam * lam - gx - sx) % p
+                    G = nx, (lam * (gx - nx) - gy) % p
             if G is None:
                 found.append(c)
             elif (hit := table.get(G[0])) is not None:
                 found.append(c + hit[0] if hit[1] == G[1] else c - hit[0])
-            G = _add(G, step, a, p)
         return [k for k in found if 0 <= k < count]
     if Q is None:
         k0 = 0
@@ -209,20 +262,23 @@ def _solutions(Q, R, count: int, a: int, p: int):
     return range(k0, count, order)
 
 
-def _trace_bsgs(A: int, B: int, p: int) -> int:
-    """Trace t of y^2 = x^3 + A x + B over F_p, nonsingular, p > 229.
+def _trace_bsgs(A: int, B: int, p: int, m: int, r: int) -> int:
+    """Trace t of y^2 = x^3 + A x + B over F_p, nonsingular, p > 229, given
+    t = r (mod m).
 
-    The traces still possible are t = first + step k for 0 <= k < count,
-    at first the Hasse interval |t| <= 2 sqrt(p).  Points come from x = 0,
-    1, 2, ...: when f = x^3 + A x + B is nonzero, (x f, f^2) lies on
-    y^2 = x^3 + A f^2 x + B f^3, which is the curve itself (order p + 1 - t)
-    when f is a square and its quadratic twist (order p + 1 + t) when not.
-    Each point keeps the candidates whose group order kills it.  By
-    Mestre's theorem one point of the curve or of its twist leaves a single
-    candidate, so the loop ends, and the candidate left is the trace.
+    The traces still possible are t = first + step k for 0 <= k < count, at
+    first those of the Hasse interval |t| <= 2 sqrt(p) with t = r (mod m).
+    Points come from x = 0, 1, 2, ...: when f = x^3 + A x + B is nonzero,
+    (x f, f^2) lies on y^2 = x^3 + A f^2 x + B f^3, which is the curve itself
+    (order p + 1 - t) when f is a square and its quadratic twist (order
+    p + 1 + t) when not.  Each point keeps the candidates whose group order
+    kills it.  By Mestre's theorem one point of the curve or of its twist
+    leaves a single candidate, so the loop ends, and the candidate left is
+    the trace: the congruence only drops candidates that cannot be it.
     """
     bound = math.isqrt(4 * p)
-    first, step, count = -bound, 1, 2 * bound + 1
+    first, step = -bound + (r + bound) % m, m
+    count = (bound - first) // m + 1
     for x in range(p):
         f = (x * (x * x + A) + B) % p
         if f == 0:

@@ -1,5 +1,7 @@
 import bisect
+import math
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -16,6 +18,7 @@ from twistcheck.frobenius import (
     _mul,
     _solutions,
     _trace_bsgs,
+    _two_torsion_order,
     an_coefficients,
     ap,
     count_points,
@@ -168,7 +171,8 @@ class TestBsgs:
             for p in bsgs_primes(E, 2 * BSGS_MIN_P)[:6]:
                 n = exact_count(E, p)
                 assert count_points(E, p) == n, (E, p)
-                assert p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p) == n, (E, p)  # E's own model, not its class
+                # E's own model, not its class, over the whole Hasse interval
+                assert p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p, 1, 0) == n, (E, p)
 
     def test_supersingular_primes_of_15a1(self, x15):
         for p in (983, 1303, 4799, 6263, 17231):
@@ -213,6 +217,128 @@ class TestBsgs:
             Q = _mul(rng.randrange(count), R, af, p) if rng.random() < 0.8 else _add(R, P, af, p)
             want = [k for k in range(count) if _mul(k, R, af, p) == Q]
             assert list(_solutions(Q, R, count, af, p)) == want
+
+
+def multiples(P, a: int, p: int) -> list:
+    """[0 P, 1 P, ..., (o - 1) P] by repeated _add, o the order of P."""
+    out = [None, P]
+    while out[-1] is not None:
+        out.append(_add(out[-1], P, a, p))
+    return out[:-1]
+
+
+def random_point(rng: random.Random, p: int, y=None):
+    """(a, P): P = (x, y) on y^2 = x^3 + a x + b for the b that puts it there,
+    the curve nonsingular (the group law never reads b)."""
+    while True:
+        a, x = rng.randrange(p), rng.randrange(p)
+        y = rng.randrange(1, p) if y is None else y
+        b = (y * y - x**3 - a * x) % p
+        if (4 * a**3 + 27 * b * b) % p:
+            return a, (x, y)
+
+
+class TestJacobianMul:
+    """_mul in Jacobian coordinates against repeated affine _add."""
+
+    @pytest.mark.parametrize("p", [233, 1009, 33863])
+    def test_against_repeated_addition(self, p):
+        rng = random.Random(p)
+        for _ in range(3):
+            a, P = random_point(rng, p)
+            mult = multiples(P, a, p)
+            o = len(mult)
+            ks = [0, 1, -1, 2, -2, 3, -7, o, -o, 2 * o, o - 1, o + 1, -o - 1, p + 1, -(p + 1)]
+            ks += [rng.randrange(-3 * o, 3 * o) for _ in range(30)]
+            for k in ks:
+                assert _mul(k, P, a, p) == mult[k % o], (p, a, P, k)
+
+    @pytest.mark.parametrize("p", [233, 1009, 33863])
+    def test_point_of_order_two(self, p):
+        rng = random.Random(p + 2)
+        for _ in range(5):
+            a, P = random_point(rng, p, y=0)
+            assert multiples(P, a, p) == [None, P]
+            for k in [*range(-9, 10), 2 * p, 2 * p + 1, -(p + 2)]:
+                assert _mul(k, P, a, p) == (P if k % 2 else None), (p, a, P, k)
+
+    @pytest.mark.parametrize("p", [233, 1009, 33863])
+    def test_sum_so_far_equal_to_plus_or_minus_p(self, p, monkeypatch):
+        # For P of odd order q, the binary digits of q + 2 end in (q + 1) / 2
+        # then 1, so the last mixed addition adds P to (q + 1) P = P: the
+        # doubling branch.  Those of q end in (q - 1) / 2 then 1, so it adds
+        # P to (q - 1) P = -P.
+        rng = random.Random(p + 3)
+        doubled = []
+        monkeypatch.setattr(frobenius, "_add", lambda P, Q, a, p: doubled.append(P == Q) or _add(P, Q, a, p))
+        orders = set()
+        while len(orders) < 3:
+            a, P = random_point(rng, p)
+            mult = multiples(P, a, p)
+            o = len(mult)
+            for q in (q for q in sieve_primes(50)[1:] if o % q == 0):
+                Pq = mult[o // q]  # of order q
+                doubled.clear()
+                assert _mul(q + 2, Pq, a, p) == mult[2 * o // q], (p, a, Pq, q)
+                assert doubled == [True]
+                assert _mul(q, Pq, a, p) is None and _mul(-q, Pq, a, p) is None
+                for k in range(-3 * q, 3 * q + 1):
+                    assert _mul(k, Pq, a, p) == mult[o // q * k % o], (p, a, Pq, k)
+                orders.add(q)
+
+
+def two_torsion_curves() -> dict[int, list[CurveModel]]:
+    """Seeded curves by the number of integer roots of X^3 - 27 c4 X - 54 c6:
+    y^2 = (x - e1)(x - e2)(x - e3), (x - e)(x^2 + u x + v) with u^2 - 4 v not
+    a square, and random models with no rational 2-torsion."""
+    rng = random.Random(31)
+    by_roots: dict[int, list[CurveModel]] = {0: [], 1: [], 3: []}
+    while len(by_roots[3]) < 4:
+        e1, e2, e3 = rng.sample(range(-30, 31), 3)
+        by_roots[3].append(CurveModel.from_ainvs((0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)))
+    while len(by_roots[1]) < 4:
+        e, u, v = rng.randint(-30, 30), rng.randint(-9, 9), rng.randint(-30, 30)
+        if u * u - 4 * v < 0 or math.isqrt(u * u - 4 * v) ** 2 != u * u - 4 * v:
+            E = CurveModel.from_ainvs((0, u - e, 0, v - e * u, -e * v))
+            by_roots[1] += [E] if E.discriminant else []
+    by_roots[0] = [E for E in random_curves(30, seed=32) if _two_torsion_order(E.c4, E.c6) == 1][:4]
+    return by_roots
+
+
+class TestTwoTorsionCongruence:
+    """BSGS starts from t = p + 1 (mod m), m = #E(Q)[2]: sound and wired in."""
+
+    @pytest.mark.parametrize("roots", [0, 1, 3])
+    def test_count_points_on_seeded_curves(self, roots):
+        curves = two_torsion_curves()[roots]
+        assert len(curves) == 4
+        for E in curves:
+            m = _two_torsion_order(E.c4, E.c6)
+            assert m == 1 + roots
+            for p in bsgs_primes(E, 20000)[::60]:
+                n = exact_count(E, p)
+                assert count_points(E, p) == n and n % m == 0, (E, p)
+                with shared_traces():
+                    assert count_points(E, p) == n, (E, p)
+
+    def test_count_points_on_family_twists(self, x15, x21):
+        for E in (x15, x21):
+            for d in (-7, -1, 2, 629, 1093, 4999):
+                Y = quadratic_twist(E, d)
+                assert _two_torsion_order(Y.c4, Y.c6) == 4
+                for p in bsgs_primes(Y, 20000)[::80]:
+                    assert count_points(Y, p) == exact_count(Y, p), (d, p)
+
+    def test_first_progression_holds_a_quarter_of_the_hasse_interval(self, x21, monkeypatch):
+        counts = []
+        monkeypatch.setattr(frobenius, "_solutions", lambda Q, R, count, a, p: counts.append(count) or _solutions(Q, R, count, a, p))
+        Y = quadratic_twist(x21, 1093)
+        for p in bsgs_primes(Y, 20000)[::150]:
+            for block in (nullcontext, shared_traces):  # the direct path, then the shared one
+                counts.clear()
+                with block():
+                    assert count_points(Y, p) == exact_count(Y, p), p
+                assert counts and counts[0] <= math.isqrt(4 * p) // 2 + 1, (p, counts)
 
 
 def good_primes(E: CurveModel, primes) -> list[int]:
