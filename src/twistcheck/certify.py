@@ -140,7 +140,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
     conds: list[Condition] = [
         Condition("good_reduction_at_p", "local", {"N": rep.N}, True)
     ]
-    a_p = ap(Y, p).a_p
+    a_p = ap(Y, p)
     path = is_ordinary(Y, p)
 
     def surjectivity_cond() -> Condition:

@@ -20,6 +20,9 @@ dropped are never the true one.  Every twist of 15A1 and 21A1 has m = 4,
 so BSGS searches a quarter of the Hasse interval.  L-series of twists with
 conductors near 6 * 10^9 need primes up to about 5.6 * 10^5, where an O(p)
 pass would cost tens of milliseconds a prime.
+
+ap returns the trace as an int, at a bad prime by the reduction type that
+Tate's algorithm finds; an_coefficients gets a_n by one Hecke recursion.
 """
 
 from __future__ import annotations
@@ -27,19 +30,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 
-from .arith import integer_roots, kronecker, sieve_primes, smallest_prime_factors
+from .arith import integer_roots, kronecker, smallest_prime_factors
 from .curves import CurveModel, is_minimal_at, minimal_model
-from .local_invariants import (
-    ADDITIVE,
-    GOOD,
-    NONSPLIT,
-    SPLIT,
-    NotMinimalAtP,
-    conductor,
-)
+from .local_invariants import ADDITIVE, NONSPLIT, SPLIT, NotMinimalAtP, conductor
 
 # BSGS needs p > 229: only there does Mestre's theorem promise that one trace
 # is left.
@@ -58,13 +53,6 @@ class BadReduction(ValueError):
 
 class SmallPrime(ValueError):
     """The ordinary/supersingular test is only made for p >= 5."""
-
-
-@dataclass(frozen=True)
-class ApRecord:
-    p: int
-    a_p: int
-    kind: str
 
 
 @contextmanager
@@ -300,21 +288,24 @@ def _trace_bsgs(A: int, B: int, p: int, m: int, r: int) -> int:
 
 
 @cache
-def ap(E: CurveModel, p: int) -> ApRecord:
-    """Trace of Frobenius at p (E must be minimal at p)."""
+def ap(E: CurveModel, p: int) -> int:
+    """Trace of Frobenius at p (E must be minimal at p); at a bad prime 1, -1
+    or 0 by the reduction type (split, nonsplit, additive) of conductor(E)."""
     if E.discriminant % p:  # a model is minimal at p when p does not divide disc
-        return ApRecord(p, p + 1 - count_points(E, p), GOOD)
+        return p + 1 - count_points(E, p)
     if not is_minimal_at(E, p):
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")
     (kind,) = [ld.kind for ld in conductor(E).local_data if ld.p == p]
-    return ApRecord(p, _BAD_TRACE[kind], kind)
+    return _BAD_TRACE[kind]
 
 
 def an_coefficients(E: CurveModel, n_max: int) -> list[int]:
     """Dirichlet coefficients a_0..a_{n_max} (a_0 = 0 placeholder, a_1 = 1).
 
-    Good primes follow a_{p^k} = a_p a_{p^{k-1}} - p a_{p^{k-2}}; bad primes
-    contribute a_{p^k} = a_p^k; values extend multiplicatively.
+    One Hecke recursion (Cremona, Algorithms for Modular Elliptic Curves): a
+    prime n reads ap, else n = p m with p its least prime factor and
+    a_n = a_p a_m - p a_{m/p}, the second term only when p | m and p is good.
+    For n = p^k r, p not dividing r, that is a_{p^k} a_r; a_{p^k} = a_p^k at bad p.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -323,29 +314,15 @@ def an_coefficients(E: CurveModel, n_max: int) -> list[int]:
     a = [0] * (n_max + 1)
     a[1] = 1
     spf = smallest_prime_factors(n_max)
-    for p in sieve_primes(n_max):
-        rec = ap(M, p)
-        q = p
-        prev2, prev1 = 1, rec.a_p  # a_{p^0}, a_{p^1}
-        good = p not in bad
-        while q <= n_max:
-            a[q] = prev1
-            qn = q * p
-            if qn > n_max:
-                break
-            nxt = rec.a_p * prev1 - (p * prev2 if good else 0)
-            prev2, prev1 = prev1, nxt
-            q = qn
     for n in range(2, n_max + 1):
-        if a[n]:
-            continue
         p = spf[n]
-        q = p
         m = n // p
-        while m % p == 0:
-            q *= p
-            m //= p
-        a[n] = a[q] * a[m]
+        if m == 1:
+            a[n] = ap(M, p)
+        elif m % p or p in bad:
+            a[n] = a[p] * a[m]
+        else:
+            a[n] = a[p] * a[m] - p * a[m // p]
     return a
 
 
@@ -356,4 +333,4 @@ def is_ordinary(E: CurveModel, p: int) -> str:
     M = minimal_model(E)
     if M.discriminant % p == 0:
         raise BadReduction(f"{p} divides the conductor")
-    return "ordinary" if ap(M, p).a_p % p else "supersingular"
+    return "ordinary" if ap(M, p) % p else "supersingular"

@@ -28,6 +28,9 @@ ZERO_RATIO = Fraction(0)
 NMAX_CAP = 10**6
 TOLERANCE = 1e-6
 MAX_DENOMINATOR = 128
+# F(t) is summed at t = 1, _SAMPLE_T and 1 / _SAMPLE_T, to a tail below _TAIL_EPS
+_SAMPLE_T = 1.2
+_TAIL_EPS = 1e-12
 
 
 class RootNumberAmbiguous(ArithmeticError):
@@ -103,11 +106,11 @@ def _kahan_series(a: list[int], coef: float, n_max: int) -> float:
     return total
 
 
-def _series_length(N: int, eps: float = 1e-12, t_min: float = 1.0 / 1.2) -> int:
-    """Smallest n_max with the geometric tail majorant 2 q^(M+1)/(1-q) < eps."""
-    c = 2.0 * math.pi * t_min / math.sqrt(N)
+def _series_length(N: int) -> int:
+    """Smallest n_max whose tail majorant 2 q^(M+1)/(1-q) at t = 1 / _SAMPLE_T is < _TAIL_EPS."""
+    c = 2.0 * math.pi * (1.0 / _SAMPLE_T) / math.sqrt(N)
     q = math.exp(-c)
-    n = math.ceil((math.log(2.0) - math.log(eps * (1.0 - q))) / c)
+    n = math.ceil((math.log(2.0) - math.log(_TAIL_EPS * (1.0 - q))) / c)
     return max(n, 20)
 
 
@@ -125,8 +128,8 @@ def _l_series(M: CurveModel) -> tuple[float, int, int]:
         return _kahan_series(a, 2.0 * math.pi * t / sqN, n_max)
 
     f1 = F(1.0)
-    f_hi = F(1.2)
-    f_lo = F(1.0 / 1.2)
+    f_hi = F(_SAMPLE_T)
+    f_lo = F(1.0 / _SAMPLE_T)
     disc_plus = abs(2.0 * f1 - (f_hi + f_lo))
     disc_minus = abs(f_hi - f_lo)
     if disc_plus <= disc_minus:

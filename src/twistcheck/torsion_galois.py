@@ -174,7 +174,7 @@ def mod_l_image(E: CurveModel, l: int, sample_bound: int = 10_000) -> GaloisImag
     for p in sieve_primes(sample_bound):
         if p == l or N % p == 0:
             continue
-        t = ap(M, p).a_p % l
+        t = ap(M, p) % l
         det = p % l
         disc = (t * t - 4 * det) % l
         if t and disc:

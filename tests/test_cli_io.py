@@ -276,6 +276,13 @@ class TestCli:
         assert rows[0]["ok"] is False  # torsion order 4 recomputes to 8
         assert rows[1]["ok"] is True  # conductor 960 confirms
 
+    def test_crosscheck_unreadable_file_exit_1(self, capsys, tmp_path):
+        # a missing file and a directory: one error line, no traceback
+        for path in (tmp_path / "missing.txt", tmp_path):
+            rc, out, err = run_cli(capsys, ["crosscheck", "--file", str(path)])
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 def test_cli_import_leaves_numpy_out():
     src = Path(twistcheck.__file__).resolve().parents[1]

@@ -25,7 +25,7 @@ from twistcheck.frobenius import (
     is_ordinary,
     shared_traces,
 )
-from twistcheck.local_invariants import ADDITIVE, GOOD, NONSPLIT, SPLIT, NotMinimalAtP
+from twistcheck.local_invariants import ADDITIVE, GOOD, NONSPLIT, SPLIT, NotMinimalAtP, conductor
 from twistcheck.lseries import _algebraic_l_ratio, algebraic_l_ratio
 from twistcheck.torsion_galois import torsion_subgroup
 
@@ -48,14 +48,14 @@ def euler_product_coefficients(E: CurveModel, n_max: int) -> list[int]:
     coeffs[1] = 1
     disc = E.discriminant
     for p in sieve_primes(n_max):
-        rec = ap(E, p)
+        a_p = ap(E, p)
         # local factor 1 - a_p T (+ p T^2 at good p); series-invert it
         depth = 1
         while p ** (depth + 1) <= n_max:
             depth += 1
         inv = [1] + [0] * depth
         for k in range(1, depth + 1):
-            val = rec.a_p * inv[k - 1]
+            val = a_p * inv[k - 1]
             if disc % p != 0 and k >= 2:
                 val -= p * inv[k - 2]
             inv[k] = val
@@ -80,17 +80,18 @@ class TestAp:
             for p in sieve_primes(100):
                 if disc % p == 0:
                     continue
-                assert ap(E, p).a_p == p + 1 - naive_count(E, p), (E, p)
+                assert ap(E, p) == p + 1 - naive_count(E, p), (E, p)
 
     def test_frozen_small_traces(self, x15, x21):
-        assert ap(x15, 2).a_p == -1  # counted by hand over F_2
-        assert ap(x21, 2).a_p == -1
-        assert ap(x15, 11).a_p == -4
-        assert ap(x15, 13).a_p == -2
+        assert ap(x15, 2) == -1  # counted by hand over F_2
+        assert ap(x21, 2) == -1
+        assert ap(x15, 11) == -4
+        assert ap(x15, 13) == -2
 
     def test_multiplicative_signs(self, x15):
-        assert ap(x15, 3).a_p == -1 and ap(x15, 3).kind.endswith("multiplicative")
-        assert ap(x15, 5).a_p == 1
+        kinds = {ld.p: ld.kind for ld in conductor(x15).local_data}
+        assert ap(x15, 3) == -1 and kinds[3].endswith("multiplicative")
+        assert ap(x15, 5) == 1
 
     def test_bad_primes_match_naive_count(self):
         # the singular point counts once: split, nonsplit and additive
@@ -98,16 +99,16 @@ class TestAp:
         kinds = set()
         for E in random_curves(60, seed=7, coeff_bound=40):
             M = minimal_model(E)
-            for p in prime_divisors(M.discriminant):
-                if p <= 200:
-                    rec = ap(M, p)
-                    assert rec.a_p == p + 1 - naive_count(M, p), (M, p)
-                    kinds.add(rec.kind)
+            for ld in conductor(M).local_data:
+                if ld.p <= 200:
+                    assert ap(M, ld.p) == ld.p + 1 - naive_count(M, ld.p), (M, ld.p)
+                    kinds.add(ld.kind)
         assert kinds == {SPLIT, NONSPLIT, ADDITIVE}
 
     def test_additive_is_zero(self, x15):
         Y = quadratic_twist(x15, 7)
-        assert ap(Y, 7).a_p == 0 and ap(Y, 7).kind == ADDITIVE
+        (kind,) = [ld.kind for ld in conductor(Y).local_data if ld.p == 7]
+        assert ap(Y, 7) == 0 and kind == ADDITIVE
 
     def test_full_two_torsion_forces_4_divides_count(self, x15):
         for p in sieve_primes(300):
@@ -121,7 +122,7 @@ class TestAp:
             for p in sieve_primes(2000):
                 if disc % p == 0:
                     continue
-                a = ap(E, p).a_p
+                a = ap(E, p)
                 assert a * a <= 4 * p
 
     def test_rejects_nonminimal(self):
@@ -136,7 +137,7 @@ class TestAp:
             for p in sieve_primes(200):
                 if (2 * 15 * d) % p == 0:
                     continue
-                assert ap(Y, p).a_p == kronecker(D, p) * ap(x15, p).a_p, (d, p)
+                assert ap(Y, p) == kronecker(D, p) * ap(x15, p), (d, p)
 
 
 def bsgs_primes(E: CurveModel, limit: int) -> list[int]:
@@ -177,7 +178,7 @@ class TestBsgs:
     def test_supersingular_primes_of_15a1(self, x15):
         for p in (983, 1303, 4799, 6263, 17231):
             assert exact_count(x15, p) == p + 1
-            assert ap(x15, p).a_p == 0
+            assert ap(x15, p) == 0
             assert is_ordinary(x15, p) == "supersingular"
 
     def test_full_rational_two_torsion(self):
@@ -199,7 +200,7 @@ class TestBsgs:
         for d in (-1, 2, -7, 4999):
             Y = quadratic_twist(x15, d)
             for p in primes:  # chi_D(p) = (d/p) at odd p not dividing d
-                assert ap(Y, p).a_p == kronecker(d, p) * ap(x15, p).a_p, (d, p)
+                assert ap(Y, p) == kronecker(d, p) * ap(x15, p), (d, p)
 
     def test_solutions_against_brute_force(self):
         # both branches: R of small order (k0, k0 + o, ...) and of large order
@@ -429,10 +430,18 @@ class TestAnCoefficients:
         assert a[4] == a[2] * a[2] - 2  # 2 is a good prime of 15A1
 
     def test_matches_euler_product_oracle(self, x15, x21):
-        for E in (x15, x21, quadratic_twist(x15, 2)):
-            got = an_coefficients(E, 200)
-            want = euler_product_coefficients(E, 200)
-            assert got[1:] == want[1:]
+        # twists by d sharing a prime with the level, and random models, bring
+        # additive and multiplicative primes p with p^2 <= n_max
+        n_max = 600
+        twists = [quadratic_twist(x15, d) for d in (2, 3, 5)] + [quadratic_twist(x21, d) for d in (3, 7)]
+        bad_square_traces = set()
+        for E in (x15, x21, *twists, *random_curves(8, seed=7, coeff_bound=40)):
+            M = minimal_model(E)
+            got = an_coefficients(M, n_max)
+            want = euler_product_coefficients(M, n_max)
+            assert got[1:] == want[1:], M
+            bad_square_traces |= {ap(M, ld.p) for ld in conductor(M).local_data if ld.p**2 <= n_max}
+        assert bad_square_traces == {-1, 0, 1}
 
     def test_multiplicativity_spot(self, x15):
         a = an_coefficients(x15, 500)
@@ -446,7 +455,7 @@ class TestIsOrdinary:
         scan = [
             p
             for p in sieve_primes(1000)
-            if p >= 5 and 15 % p != 0 and ap(x15, p).a_p == 0
+            if p >= 5 and 15 % p != 0 and ap(x15, p) == 0
         ]
         assert scan[0] == 7
         assert is_ordinary(x15, 7) == "supersingular"
