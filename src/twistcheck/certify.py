@@ -15,9 +15,10 @@ from typing import Any
 
 from .arith import is_prime, is_squarefree, prime_divisors, sieve_primes, valuation
 from .curves import CurveModel, Family, base_curve, quadratic_twist
-from .frobenius import ap, is_ordinary, shared_traces
+from .frobenius import ap, is_ordinary
 from .local_invariants import conductor, tamagawa_product
-from .lseries import LRatioResult, algebraic_l_ratio, is_p_adic_unit
+from .lseries import is_p_adic_unit
+from .modsym import family_l_ratio
 from .tabledata import TABLE1, TABLE2, TableRow, factors_to_str
 from .torsion_galois import SURJECTIVE, UNDETERMINED, mod_l_image, torsion_subgroup
 
@@ -86,15 +87,14 @@ def check_theorem(fam, d: int, p: int) -> Certificate:
         conds.append(
             Condition("p_prime_outside_base", "structural", {"p": p, "base": sorted(fam.base_primes)}, ok)
         )
-    ratio: LRatioResult | None = None
     if ok:
-        ratio = algebraic_l_ratio(_twist(fam, d))
-        unit = is_p_adic_unit(ratio.ratio, p)
+        ratio = family_l_ratio(fam, d)
+        unit = is_p_adic_unit(ratio, p)
         conds.append(
             Condition(
                 "l_ratio_p_unit",
                 "analytic",
-                {"ratio": str(ratio.ratio), "valuation": None if ratio.ratio == 0 else valuation(ratio.ratio, p)},
+                {"ratio": str(ratio), "valuation": None if ratio == 0 else valuation(ratio, p)},
                 unit,
             )
         )
@@ -153,14 +153,14 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
             undetermined=image.verdict == UNDETERMINED,
         )
 
-    ratio = algebraic_l_ratio(Y)
+    ratio = family_l_ratio(fam, d)
     if path == "ordinary":
         steps = [
             lambda: Condition("ordinary_at_p", "local", {"a_p": a_p}, a_p % p != 0),
             surjectivity_cond,
             lambda: _ramified_multiplicative_condition(rep, p),
             lambda: Condition(
-                "l_ratio_p_unit", "analytic", {"ratio": str(ratio.ratio)}, is_p_adic_unit(ratio.ratio, p)
+                "l_ratio_p_unit", "analytic", {"ratio": str(ratio)}, is_p_adic_unit(ratio, p)
             ),
             lambda: Condition(
                 "reduction_count_prime_to_p",
@@ -175,7 +175,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
             lambda: Condition("supersingular_trace_zero", "local", {"a_p": a_p}, a_p == 0),
             surjectivity_cond,
             lambda: Condition(
-                "l_ratio_p_unit", "analytic", {"ratio": str(ratio.ratio)}, is_p_adic_unit(ratio.ratio, p)
+                "l_ratio_p_unit", "analytic", {"ratio": str(ratio)}, is_p_adic_unit(ratio, p)
             ),
             lambda: _tamagawa_condition(Y, p),
         ]
@@ -237,7 +237,7 @@ def admissible_primes(fam, d: int, p_max: int = 100):
     if math.gcd(d, 3) != 1 and math.gcd(d, q) != 1:
         raise ValueError(f"d = {d} fails both coprimality branches")
 
-    ratio = algebraic_l_ratio(_twist(fam, d)).ratio
+    ratio = family_l_ratio(fam, d)
     if ratio == 0:
         return frozenset(), "none"
     excluded = set(fam.base_primes) | set(prime_divisors(d))
@@ -277,13 +277,11 @@ class TableReport:
         return all(r.match for r in self.rows)
 
 
-@shared_traces()
 def reproduce_table(which: int) -> TableReport:
     """Recompute every cell of table 1 or 2 and compare with the golden rows.
 
     Documented errata are compared against the corrected value and keep their
-    annotation; nothing is silently fixed.  The rows are twists of one curve,
-    so their point counts share one trace per prime (see shared_traces).
+    annotation; nothing is silently fixed.
     """
     if which == 1:
         fam, rows = Family.X15, TABLE1
@@ -293,9 +291,8 @@ def reproduce_table(which: int) -> TableReport:
         raise ValueError("table index must be 1 or 2")
     results = []
     for row in rows:
-        E_d = _twist(fam, row.d)
-        fac = conductor(E_d).factorization
-        ratio = algebraic_l_ratio(E_d).ratio
+        fac = conductor(_twist(fam, row.d)).factorization
+        ratio = family_l_ratio(fam, row.d)
         if ratio == 0:
             exc: tuple[int, ...] | None = None
         else:

@@ -1,12 +1,6 @@
 """Frobenius traces, Dirichlet coefficients and the ordinary/supersingular split.
 
-#E(F_p) is counted per curve and prime.  Inside a shared_traces() block, a
-good prime p >= 5 not dividing c4 c6 instead reads one trace shared by every
-curve with the same j-invariant mod p: E is a quadratic twist of
-y^2 = x^3 + K x + K over F_p (see count_points), so the quadratic twists of
-one curve counted in the block read one trace per prime.  The block bounds
-the sharing, so what one call costs does not depend on what earlier calls
-happened to count.  A trace is counted in one of two ways.  Below BSGS_MIN_P
+#E(F_p) is counted per curve and prime, in one of two ways.  Below BSGS_MIN_P
 it is an exact O(p) character sum over x in F_p with a table of quadratic
 residues.  From BSGS_MIN_P up it is Shanks-Mestre baby-step giant-step,
 O(p^(1/4)) group operations (Cohen, GTM 138, section 7.4; PARI's ellap does
@@ -28,11 +22,9 @@ Tate's algorithm finds; an_coefficients gets a_n by one Hecke recursion.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from contextlib import contextmanager
 from functools import cache
 
-from .arith import integer_roots, kronecker, smallest_prime_factors
+from .arith import integer_roots, smallest_prime_factors
 from .curves import CurveModel, is_minimal_at, minimal_model
 from .local_invariants import ADDITIVE, NONSPLIT, SPLIT, NotMinimalAtP, conductor
 
@@ -43,10 +35,6 @@ BSGS_MIN_P = 230
 # a_p at a bad prime, by the reduction type that Tate's algorithm finds
 _BAD_TRACE = {SPLIT: 1, NONSPLIT: -1, ADDITIVE: 0}
 
-# (K mod p, p) -> t(K, p) while a shared_traces() block is open, else None.
-_traces: dict[tuple[int, int], int] | None = None
-
-
 class BadReduction(ValueError):
     """Asked a good-reduction question at a bad prime."""
 
@@ -55,54 +43,21 @@ class SmallPrime(ValueError):
     """The ordinary/supersingular test is only made for p >= 5."""
 
 
-@contextmanager
-def shared_traces() -> Iterator[dict[tuple[int, int], int]]:
-    """Share one trace per j-invariant class and prime among the count_points
-    calls in the block; it yields the traces counted so far.  A nested block
-    joins the open one, and the traces are dropped when the outer one ends."""
-    global _traces
-    if _traces is not None:
-        yield _traces
-        return
-    _traces = {}
-    try:
-        yield _traces
-    finally:
-        _traces = None
-
-
 def count_points(E: CurveModel, p: int) -> int:
     """#E~(F_p) for a prime of good reduction (E minimal at p).
 
-    For p >= 5 E is isomorphic over F_p to y^2 = x^3 + A x + B with
-    A = -27 c4 and B = -54 c6.  When A B != 0 mod p that is the quadratic
-    twist by A B (by u = B / A, up to squares) of y^2 = x^3 + K x + K with
-    K = A^3 / B^2 = -27 c4^3 / (4 c6^2), so #E~(F_p) = p + 1 - (2 c4 c6 / p)
-    t(K, p).  Inside shared_traces() t(K, p) is counted once per (K mod p, p).
-    Elsewhere, and at p = 2, 3 and where p divides c4 c6 (j = 1728 or 0
-    mod p), E is counted directly.  From BSGS_MIN_P up, BSGS starts from
-    what E(Q)[2] proves: its order m divides #E~(F_p), so E's trace is
-    p + 1 and t(K, p) is (2 c4 c6 / p) (p + 1), both mod m.
+    Below BSGS_MIN_P it is a character sum on the b-invariants.  From there
+    up E is isomorphic over F_p to y^2 = x^3 + A x + B with A = -27 c4 and
+    B = -54 c6, and BSGS starts from what E(Q)[2] proves: its order m
+    divides #E~(F_p), so the trace is p + 1 mod m.
     """
     if p == 2:
         a1, a2, a3, a4, a6 = E.ainvs
         pairs = ((x, y) for x in (0, 1) for y in (0, 1))
         return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0 for x, y in pairs)
-    c4, c6 = E.c4 % p, E.c6 % p
-    if _traces is not None and p > 3 and c4 * c6 % p:
-        K = -27 * c4 * c4 * c4 * pow(4 * c6 * c6, -1, p) % p
-        chi = kronecker(2 * c4 * c6, p)
-        t = _traces.get((K, p))
-        if t is None:
-            if p < BSGS_MIN_P:
-                t = -_char_sum(0, 2 * K, 4 * K, p)  # the b-invariants of the model
-            else:
-                t = _trace_bsgs(K, K, p, _two_torsion_order(E.c4, E.c6), chi * (p + 1))
-            _traces[K, p] = t
-        return p + 1 - chi * t
     if p < BSGS_MIN_P:
         return p + 1 + _char_sum(E.b2 % p, E.b4 % p, E.b6 % p, p)
-    return p + 1 - _trace_bsgs(-27 * c4 % p, -54 * c6 % p, p, _two_torsion_order(E.c4, E.c6), p + 1)
+    return p + 1 - _trace_bsgs(-27 * E.c4 % p, -54 * E.c6 % p, p, _two_torsion_order(E.c4, E.c6), p + 1)
 
 
 @cache

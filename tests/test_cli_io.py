@@ -257,6 +257,19 @@ class TestCli:
         assert (rc, out) == (1, "")
         assert err == "error: series needs 1142411 terms, cap is 1000000\n"
 
+    def test_certify_past_the_series_cap(self, capsys):
+        # the family commands read L/Omega from modular symbols, not the series
+        rc, out, _ = run_cli(capsys, ["certify", "--family", "15", "--d", "9998", "--p", "7", "--json"])
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["verdict"] == "Applies"
+        (cond,) = [c for c in obj["conditions"] if c["name"] == "l_ratio_p_unit"]
+        assert cond["evidence"]["ratio"] == "8"
+
+    def test_admissible_past_the_series_cap(self, capsys):
+        rc, out, _ = run_cli(capsys, ["admissible", "--family", "21", "--d", "9998"])
+        assert (rc, out) == (0, "none\n")
+
     def test_crosscheck(self, capsys, tmp_path):
         good = tmp_path / "ref.txt"
         good.write_text(

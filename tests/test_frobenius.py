@@ -1,14 +1,12 @@
 import bisect
 import math
 import random
-from contextlib import nullcontext
 
 import pytest
 
 from conftest import exact_count, random_curves
 from twistcheck import frobenius
 from twistcheck.arith import kronecker, prime_divisors, quad_field_data, sieve_primes
-from twistcheck.certify import reproduce_table
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import (
     BSGS_MIN_P,
@@ -23,11 +21,8 @@ from twistcheck.frobenius import (
     ap,
     count_points,
     is_ordinary,
-    shared_traces,
 )
 from twistcheck.local_invariants import ADDITIVE, GOOD, NONSPLIT, SPLIT, NotMinimalAtP, conductor
-from twistcheck.lseries import _algebraic_l_ratio, algebraic_l_ratio
-from twistcheck.torsion_galois import torsion_subgroup
 
 
 def naive_count(E: CurveModel, p: int) -> int:
@@ -319,8 +314,6 @@ class TestTwoTorsionCongruence:
             for p in bsgs_primes(E, 20000)[::60]:
                 n = exact_count(E, p)
                 assert count_points(E, p) == n and n % m == 0, (E, p)
-                with shared_traces():
-                    assert count_points(E, p) == n, (E, p)
 
     def test_count_points_on_family_twists(self, x15, x21):
         for E in (x15, x21):
@@ -335,11 +328,9 @@ class TestTwoTorsionCongruence:
         monkeypatch.setattr(frobenius, "_solutions", lambda Q, R, count, a, p: counts.append(count) or _solutions(Q, R, count, a, p))
         Y = quadratic_twist(x21, 1093)
         for p in bsgs_primes(Y, 20000)[::150]:
-            for block in (nullcontext, shared_traces):  # the direct path, then the shared one
-                counts.clear()
-                with block():
-                    assert count_points(Y, p) == exact_count(Y, p), p
-                assert counts and counts[0] <= math.isqrt(4 * p) // 2 + 1, (p, counts)
+            counts.clear()
+            assert count_points(Y, p) == exact_count(Y, p), p
+            assert counts and counts[0] <= math.isqrt(4 * p) // 2 + 1, (p, counts)
 
 
 def good_primes(E: CurveModel, primes) -> list[int]:
@@ -352,15 +343,14 @@ SHARED_PRIMES = [*sieve_primes(600)[1:], *sieve_primes(20000)[109::50]]
 
 
 class TestSharedTrace:
-    """count_points through the trace shared by a j-invariant class, each case
-    in a fresh shared_traces() block, against the exact O(p) reference."""
+    """Quadratic twists of one curve share one trace per prime up to the
+    quadratic character; count_points counts each curve on its own, checked
+    against the exact O(p) reference and against that relation."""
 
-    def check(self, *curves) -> dict:
-        with shared_traces() as traces:
-            for E in curves:
-                for p in good_primes(E, SHARED_PRIMES):
-                    assert count_points(E, p) == exact_count(E, p), (E, p)
-        return traces
+    def check(self, *curves) -> None:
+        for E in curves:
+            for p in good_primes(E, SHARED_PRIMES):
+                assert count_points(E, p) == exact_count(E, p), (E, p)
 
     def test_base_curves(self, x15, x21):
         for E in (x15, x21):
@@ -371,8 +361,8 @@ class TestSharedTrace:
         for E in (x15, x21):
             Y = quadratic_twist(E, d)
             self.check(Y, E)
-            # one class: the second curve reads the first one's traces
-            assert len(self.check(E, Y)) <= len(SHARED_PRIMES)
+            for p in good_primes(Y, good_primes(E, SHARED_PRIMES)):  # odd and prime to d
+                assert p + 1 - count_points(Y, p) == kronecker(d, p) * (p + 1 - count_points(E, p)), (d, p)
 
     def test_random_models(self):
         for E in random_curves(6, seed=21) + random_curves(6, seed=22, coeff_bound=300):
@@ -380,44 +370,17 @@ class TestSharedTrace:
 
     def test_j_0_and_1728_are_counted_directly(self):
         for ainvs in ((0, 0, 1, 0, 0), (0, 0, 0, -1, 0)):  # c4 = 0, c6 = 0
-            assert not self.check(CurveModel.from_ainvs(ainvs))
+            self.check(CurveModel.from_ainvs(ainvs))
 
     def test_primes_dividing_c4_c6_and_3(self):
         above = 0
-        with shared_traces() as traces:
-            for E in random_curves(40, seed=23, coeff_bound=300):
-                M = minimal_model(E)
-                c4, c6 = M.c4, M.c6
-                for p in good_primes(M, [3, *(q for q in prime_divisors(c4 * c6 or 1) if 3 < q < 20000)]):
-                    assert count_points(M, p) == exact_count(M, p), (M, p)
-                    above += p >= BSGS_MIN_P
-        assert above and not traces
-
-    def test_outside_a_block_nothing_is_kept(self, x15, x21):
-        with shared_traces() as traces:
-            pass
-        for E in (x15, quadratic_twist(x15, 5), x21):
-            for p in good_primes(E, SHARED_PRIMES[::7]):
-                assert count_points(E, p) == exact_count(E, p), (E, p)
-        assert not traces and frobenius._traces is None
-
-    def test_nested_blocks_share_one_table(self, x15):
-        with shared_traces() as outer:
-            with shared_traces() as inner:
-                count_points(x15, 1009)
-            assert inner is outer and len(outer) == 1
-        assert frobenius._traces is None
-
-    def test_golden_tables_count_once_per_class_and_prime(self, x15, x21):
-        for fn in (ap, _algebraic_l_ratio, torsion_subgroup):
-            fn.cache_clear()
-        for which, E in ((1, x15), (2, x21)):
-            with shared_traces() as traces:  # reproduce_table joins this block
-                report = reproduce_table(which)
-            # the primes up to the family's largest n_max: 518 and 600
-            n_max = max(algebraic_l_ratio(quadratic_twist(E, r.row.d)).n_max for r in report.rows)
-            assert 0 < len(traces) <= len(sieve_primes(n_max))
-        assert frobenius._traces is None
+        for E in random_curves(40, seed=23, coeff_bound=300):
+            M = minimal_model(E)
+            c4, c6 = M.c4, M.c6
+            for p in good_primes(M, [3, *(q for q in prime_divisors(c4 * c6 or 1) if 3 < q < 20000)]):
+                assert count_points(M, p) == exact_count(M, p), (M, p)
+                above += p >= BSGS_MIN_P
+        assert above
 
 
 class TestAnCoefficients:
