@@ -36,7 +36,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -178,7 +178,9 @@ def prime_divisors(n: int) -> list[int]:
 
 
 def valuation(q, p: int) -> int:
-    """p-adic valuation of a nonzero rational (ZeroInput at 0)."""
+    """p-adic valuation of a nonzero rational (ZeroInput at 0); p must be >= 2."""
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got p = {p}")
     if isinstance(q, int):  # every caller in the curve layers passes ints
         num, den = q, 1
     else:

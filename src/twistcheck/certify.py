@@ -1,9 +1,12 @@
 """Hypothesis certificates for the two twist families.
 
-check_theorem evaluates the headline condition list for a (family, d, p)
-triple; deep_certificate additionally verifies the per-prime conditions that
-the headline statement rests on, branching on ordinary vs supersingular
-reduction.  Failures are recorded as data, never raised.
+A certificate is one list of conditions, evaluated lazily and cut after the
+first failure that is not undetermined, so no evidence is gathered past it.
+check_theorem evaluates the headline hypothesis: the structural conditions on
+d and p (stated once, in _structural) and the p-adic unit condition on
+L(E_d,1)/Omega.  deep_certificate additionally verifies the per-prime
+conditions that the headline statement rests on, branching on ordinary vs
+supersingular reduction.  Failures are recorded as data, never raised.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .arith import is_prime, is_squarefree, prime_divisors, sieve_primes, valuation
+from .arith import is_prime, is_squarefree, prime_divisors, valuation
 from .curves import CurveModel, Family, base_curve, quadratic_twist
 from .frobenius import ap, is_ordinary
 from .local_invariants import conductor, tamagawa_product
@@ -47,6 +50,17 @@ class Certificate:
     extras: dict = field(default_factory=dict)
 
 
+def _evaluate(conditions) -> tuple[Condition, ...]:
+    """Draw conditions in order, stopping after the first failure that is not
+    undetermined; the ones after it are never evaluated."""
+    out = []
+    for cond in conditions:
+        out.append(cond)
+        if not cond.passed and not cond.undetermined:
+            break
+    return tuple(out)
+
+
 def _verdict(conditions) -> str:
     failing = [c for c in conditions if not c.passed]
     if not failing:
@@ -60,64 +74,60 @@ def _twist(fam: Family, d: int) -> CurveModel:
     return quadratic_twist(base_curve(fam), d)
 
 
+def _structural(fam: Family, d: int, p: int | None = None):
+    """The structural conditions in order: on d, then on p unless p is None
+    (the coprimality branch then reads gcd(d, 3) and gcd(d, q))."""
+    yield Condition("d_squarefree_gt_1", "structural", d, d > 1 and is_squarefree(d))
+    if fam is Family.X15:
+        yield Condition("d_not_5", "structural", d, d != 5)
+    else:
+        yield Condition("d_prime_to_7", "structural", d, d % 7 != 0)
+    q = fam.odd_level_primes[1]
+    m = 1 if p is None else p
+    g3, gq = math.gcd(d, 3 * m), math.gcd(d, q * m)
+    yield Condition(
+        "coprimality_branch", "structural", {"gcd_3p": g3, f"gcd_{q}p": gq}, g3 == 1 or gq == 1
+    )
+    if p is not None:
+        yield Condition(
+            "p_prime_outside_base",
+            "structural",
+            {"p": p, "base": sorted(fam.base_primes)},
+            is_prime(p) and p not in fam.base_primes,
+        )
+
+
 def check_theorem(fam, d: int, p: int) -> Certificate:
     """Evaluate the headline hypothesis list; failures are data, not errors."""
     fam = Family.parse(fam)
-    conds: list[Condition] = []
     extras: dict = {}
 
-    ok = d > 1 and is_squarefree(d)
-    conds.append(Condition("d_squarefree_gt_1", "structural", d, ok))
-    if ok:
-        if fam is Family.X15:
-            ok = d != 5
-            conds.append(Condition("d_not_5", "structural", d, ok))
-        else:
-            ok = d % 7 != 0
-            conds.append(Condition("d_prime_to_7", "structural", d, ok))
-    if ok:
-        q = fam.odd_level_primes[1]
-        g3, gq = math.gcd(d, 3 * p), math.gcd(d, q * p)
-        ok = g3 == 1 or gq == 1
-        conds.append(
-            Condition("coprimality_branch", "structural", {"gcd_3p": g3, f"gcd_{q}p": gq}, ok)
-        )
-    if ok:
-        ok = is_prime(p) and p not in fam.base_primes
-        conds.append(
-            Condition("p_prime_outside_base", "structural", {"p": p, "base": sorted(fam.base_primes)}, ok)
-        )
-    if ok:
+    def conditions():
+        yield from _structural(fam, d, p)
         ratio = family_l_ratio(fam, d)
         unit = is_p_adic_unit(ratio, p)
-        conds.append(
-            Condition(
-                "l_ratio_p_unit",
-                "analytic",
-                {"ratio": str(ratio), "valuation": None if ratio == 0 else valuation(ratio, p)},
-                unit,
-            )
-        )
-        ok = unit
 
         # cross-check against the equivalent reformulation of the hypothesis
         # list (and, for the level-21 family, the variant as printed, which
-        # carries a suspected 5-for-7 typo and is reported but not enforced)
+        # carries a suspected 5-for-7 typo and is reported but not enforced);
+        # past the structural conditions only the clause p | base * d differs
         def variant(base_product: int) -> bool:
-            structural = (d != 5) if fam is Family.X15 else (d % 7 != 0)
-            q = fam.odd_level_primes[1]
-            branch = math.gcd(d, 3) == 1 or math.gcd(d, q) == 1
-            p_cond = (base_product * d) % p != 0
-            return structural and branch and p_cond and unit
+            return (base_product * d) % p != 0 and unit
 
-        main_verdict = all(c.passed for c in conds)
         equiv = variant(2 * 3 * fam.odd_level_primes[1])
-        extras["equiv_formulation"] = {"verdict": equiv, "agrees": equiv == main_verdict}
+        extras["equiv_formulation"] = {"verdict": equiv, "agrees": equiv == unit}
         if fam is Family.X21:
             printed = variant(2 * 3 * 5)
-            extras["printed_variant"] = {"verdict": printed, "agrees": printed == main_verdict}
+            extras["printed_variant"] = {"verdict": printed, "agrees": printed == unit}
+        yield Condition(
+            "l_ratio_p_unit",
+            "analytic",
+            {"ratio": str(ratio), "valuation": None if ratio == 0 else valuation(ratio, p)},
+            unit,
+        )
 
-    return Certificate(fam, d, p, tuple(conds), _verdict(conds), "n/a", extras)
+    conds = _evaluate(conditions())
+    return Certificate(fam, d, p, conds, _verdict(conds), "n/a", extras)
 
 
 def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certificate:
@@ -137,55 +147,44 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
         raise RuntimeError(
             f"internal error: shallow conditions passed but {p} divides N = {rep.N}"
         )
-    conds: list[Condition] = [
-        Condition("good_reduction_at_p", "local", {"N": rep.N}, True)
-    ]
     a_p = ap(Y, p)
     path = is_ordinary(Y, p)
+    ratio = family_l_ratio(fam, d)
 
-    def surjectivity_cond() -> Condition:
+    def conditions():
+        yield Condition("good_reduction_at_p", "local", {"N": rep.N}, True)
+        if path == "ordinary":
+            yield Condition("ordinary_at_p", "local", {"a_p": a_p}, a_p % p != 0)
+        else:
+            yield Condition("supersingular_trace_zero", "local", {"a_p": a_p}, a_p == 0)
         image = mod_l_image(Y, p, sample_bound=sample_bound)
-        return Condition(
+        yield Condition(
             "mod_p_image_surjective",
             "galois",
             {"verdict": image.verdict, "witnesses": dict(image.witnesses)},
             image.verdict == SURJECTIVE,
             undetermined=image.verdict == UNDETERMINED,
         )
+        if path == "ordinary":
+            yield _ramified_multiplicative_condition(rep, p)
+        unit = is_p_adic_unit(ratio, p)
+        yield Condition("l_ratio_p_unit", "analytic", {"ratio": str(ratio)}, unit)
+        if path == "ordinary":
+            count = p + 1 - a_p
+            yield Condition("reduction_count_prime_to_p", "local", {"count": count}, count % p != 0)
+            tor = torsion_subgroup(Y)
+            yield Condition(
+                "torsion_prime_to_p",
+                "torsion",
+                {"order": tor.order, "structure": list(tor.invariant_factors)},
+                tor.order % p != 0,
+            )
+        else:
+            prod = tamagawa_product(Y)
+            yield Condition("tamagawa_prime_to_p", "local", {"product": prod}, prod % p != 0)
 
-    ratio = family_l_ratio(fam, d)
-    if path == "ordinary":
-        steps = [
-            lambda: Condition("ordinary_at_p", "local", {"a_p": a_p}, a_p % p != 0),
-            surjectivity_cond,
-            lambda: _ramified_multiplicative_condition(rep, p),
-            lambda: Condition(
-                "l_ratio_p_unit", "analytic", {"ratio": str(ratio)}, is_p_adic_unit(ratio, p)
-            ),
-            lambda: Condition(
-                "reduction_count_prime_to_p",
-                "local",
-                {"count": p + 1 - a_p},
-                (p + 1 - a_p) % p != 0,
-            ),
-            lambda: _torsion_condition(Y, p),
-        ]
-    else:
-        steps = [
-            lambda: Condition("supersingular_trace_zero", "local", {"a_p": a_p}, a_p == 0),
-            surjectivity_cond,
-            lambda: Condition(
-                "l_ratio_p_unit", "analytic", {"ratio": str(ratio)}, is_p_adic_unit(ratio, p)
-            ),
-            lambda: _tamagawa_condition(Y, p),
-        ]
-    for step in steps:
-        cond = step()
-        conds.append(cond)
-        if not cond.passed and not cond.undetermined:
-            break  # fail fast, keeping the evidence gathered so far
-
-    return Certificate(fam, d, p, tuple(conds), _verdict(conds), path, dict(shallow.extras))
+    conds = _evaluate(conditions())
+    return Certificate(fam, d, p, conds, _verdict(conds), path, dict(shallow.extras))
 
 
 def _ramified_multiplicative_condition(rep, p: int) -> Condition:
@@ -204,38 +203,24 @@ def _ramified_multiplicative_condition(rep, p: int) -> Condition:
     )
 
 
-def _torsion_condition(Y: CurveModel, p: int) -> Condition:
-    tor = torsion_subgroup(Y)
-    return Condition(
-        "torsion_prime_to_p",
-        "torsion",
-        {"order": tor.order, "structure": list(tor.invariant_factors)},
-        tor.order % p != 0,
-    )
-
-
-def _tamagawa_condition(Y: CurveModel, p: int) -> Condition:
-    prod = tamagawa_product(Y)
-    return Condition("tamagawa_prime_to_p", "local", {"product": prod}, prod % p != 0)
-
-
 # ---------------------------------------------------------------------------
 # admissible primes and table reproduction
 
 
-def admissible_primes(fam, d: int, p_max: int = 100):
-    """(excluded set, description): primes for which the headline statement
-    applies are exactly those outside the excluded set (checked up to p_max)."""
+def admissible_primes(fam, d: int):
+    """(excluded set, description) for the twist E_d; ValueError when d fails
+    a structural condition on d alone.
+
+    The headline statement applies exactly at the primes outside the primes
+    of 2*3*q*d and of L(E_d,1)/Omega: such a p is outside the base, p does not
+    divide d, so the coprimality branch at p is the one at d, and the ratio is
+    a p-adic unit.  A vanishing ratio admits no prime ("none").
+    tests/test_certify.py checks both directions against check_theorem.
+    """
     fam = Family.parse(fam)
-    if d <= 1 or not is_squarefree(d):
-        raise ValueError(f"d = {d} is not a squarefree integer > 1")
-    if fam is Family.X15 and d == 5:
-        raise ValueError("d = 5 is outside the level-15 family")
-    if fam is Family.X21 and d % 7 == 0:
-        raise ValueError("7 | d is outside the level-21 family")
-    q = fam.odd_level_primes[1]
-    if math.gcd(d, 3) != 1 and math.gcd(d, q) != 1:
-        raise ValueError(f"d = {d} fails both coprimality branches")
+    for cond in _structural(fam, d):
+        if not cond.passed:
+            raise ValueError(f"d = {d} is outside the {fam.value} family: {cond.name} fails")
 
     ratio = family_l_ratio(fam, d)
     if ratio == 0:
@@ -243,12 +228,6 @@ def admissible_primes(fam, d: int, p_max: int = 100):
     excluded = set(fam.base_primes) | set(prime_divisors(d))
     excluded |= set(prime_divisors(ratio.numerator)) | set(prime_divisors(ratio.denominator))
     excluded = frozenset(excluded)
-    for p in sieve_primes(p_max):
-        if p in excluded:
-            continue
-        cert = check_theorem(fam, d, p)
-        if cert.verdict != APPLIES:
-            raise RuntimeError(f"admissible-set characterization failed at p = {p}")
     return excluded, _excluded_str(excluded)
 
 

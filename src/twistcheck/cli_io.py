@@ -202,7 +202,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
-    excluded, desc = admissible_primes(args.family, args.d, p_max=args.pmax)
+    excluded, desc = admissible_primes(args.family, args.d)
     obj = {
         "family": Family.parse(args.family).value,
         "d": args.d,
@@ -284,7 +284,6 @@ def _cmd_crosscheck(args) -> int:
 _OPTIONS = {
     "strict": (("--strict",), {"action": "store_true", "help": "exit 1 on non-applying certificates"}),
     "sample_bound": (("--sample-bound",), {"dest": "sample_bound", "type": int, "default": 10_000}),
-    "pmax": (("--pmax",), {"type": int, "default": 100}),
     "family": (("--family",), {"required": True}),
     "d": (("--d",), {"type": int, "required": True}),
     "p": (("--p",), {"type": int, "required": True}),
@@ -301,7 +300,7 @@ _SUBCOMMANDS = (
     ("lratio", "L(E,1), period and recognized ratio", _cmd_lratio, _CURVE),
     ("certify", "headline hypothesis certificate", _cmd_certify, _CERTIFY),
     ("deep-certify", "per-prime certificate (ordinary/supersingular)", _cmd_certify, (*_CERTIFY, "sample_bound")),
-    ("admissible", "excluded prime set for a twist", _cmd_admissible, ("pmax", "family", "d")),
+    ("admissible", "excluded prime set for a twist", _cmd_admissible, ("family", "d")),
     ("table", "reproduce golden table 1 or 2", _cmd_table, ("which",)),
     ("crosscheck", "recompute rows of an external curve table", _cmd_crosscheck, ("file",)),
 )

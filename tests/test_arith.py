@@ -20,6 +20,7 @@ from twistcheck.arith import (
     sieve_primes,
     valuation,
 )
+from twistcheck.lseries import is_p_adic_unit
 
 
 def brute_legendre(a: int, p: int) -> int:
@@ -96,6 +97,15 @@ class TestValuation:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):
             valuation(0, 5)
+
+    @pytest.mark.parametrize("q,p", [(6, 1), (6, 0), (6, -1), (Fraction(1, 8), 1), (0, 1)])
+    def test_p_below_2_rejected(self, q, p):
+        with pytest.raises(ValueError, match="p >= 2"):
+            valuation(q, p)
+
+    def test_is_p_adic_unit_rejects_p_below_2(self):
+        with pytest.raises(ValueError, match="p >= 2"):
+            is_p_adic_unit(2, -1)
 
     @given(
         st.fractions(min_value=Fraction(1, 1000), max_value=1000),

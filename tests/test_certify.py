@@ -43,6 +43,12 @@ class TestCheckTheorem:
         assert check_theorem("15", 2, 8).verdict == DOES_NOT_APPLY  # p not prime
         assert check_theorem("21", 14, 11).verdict == DOES_NOT_APPLY  # 7 | d
         assert check_theorem("15", 15, 7).verdict == DOES_NOT_APPLY  # both gcd branches fail
+        # p = 1, 0 and -7 stop at a structural condition, before any valuation
+        outside = "p_prime_outside_base"
+        for p, failing in ((1, outside), (0, "coprimality_branch"), (-7, outside)):
+            cert = check_theorem("15", 2, p)
+            assert cert.verdict == DOES_NOT_APPLY
+            assert [c.name for c in cert.conditions if not c.passed] == [failing], p
 
     def test_nonunit_ratio_fails(self):
         # d = 3 twist of 15A1 has vanishing L-value: the unit condition is the
@@ -159,6 +165,28 @@ class TestAdmissiblePrimes:
                     continue
                 excluded, _ = admissible_primes(fam, row.d)
                 assert tuple(sorted(excluded)) == row.excluded, (fam, row.d)
+
+    @pytest.mark.parametrize("fam", [Family.X15, Family.X21])
+    def test_characterizes_check_theorem(self, fam):
+        # the theorem applies at p <= 100 exactly outside the excluded set,
+        # never when the ratio vanishes, and never for a d that admissible
+        # primes refuses, which is exactly a d failing a condition on d alone
+        q = fam.odd_level_primes[1]
+        for d in range(2, 201):
+            d_ok = (
+                is_squarefree(d)
+                and (d != 5 if fam is Family.X15 else d % 7 != 0)
+                and (d % 3 != 0 or d % q != 0)
+            )
+            if not d_ok:
+                with pytest.raises(ValueError, match=f"d = {d} "):
+                    admissible_primes(fam, d)
+                assert all(check_theorem(fam, d, p).verdict != APPLIES for p in sieve_primes(100)), d
+                continue
+            excluded, desc = admissible_primes(fam, d)
+            for p in sieve_primes(100):
+                applies = desc != "none" and p not in excluded
+                assert (check_theorem(fam, d, p).verdict == APPLIES) == applies, (d, p)
 
 
 class TestReproduceTable:

@@ -23,9 +23,15 @@ CASES = {
     "lratio_21_10": (["lratio", "--family", "21", "--twist", "10"], 0),
     "lratio_15_58": (["lratio", "--family", "15", "--twist", "58"], 0),
     "certify_15_2_7": (["certify", "--family", "15", "--d", "2", "--p", "7"], 0),
+    # the level-21 variant as printed disagrees at p = 5
+    "certify_21_3_5": (["certify", "--family", "21", "--d", "3", "--p", "5"], 0),
+    # a structural failure: no unit condition, no extras
+    "certify_15_19_19": (["certify", "--family", "15", "--d", "19", "--p", "19"], 0),
     "deep_certify_ordinary": (["deep-certify", "--family", "21", "--d", "5", "--p", "11"], 0),
     "deep_certify_supersingular": (["deep-certify", "--family", "15", "--d", "2", "--p", "7"], 0),
     "admissible_15_17": (["admissible", "--family", "15", "--d", "17"], 0),
+    # the L-value vanishes, so no prime is admissible
+    "admissible_15_3": (["admissible", "--family", "15", "--d", "3"], 0),
     # a mismatch row and a malformed line make the exit code 1
     "crosscheck": (["crosscheck", "--file", str(CORPUS / "crosscheck.txt")], 1),
 }

@@ -201,12 +201,11 @@ class TestCli:
         assert run_cli(capsys, ["certify", "--family", "15"])[0] == 2
 
     def test_options_belong_to_their_subcommand(self, capsys):
-        # table always checks admissible primes up to 100, so --pmax is refused
-        assert run_cli(capsys, ["table", "--which", "1", "--pmax", "50"])[0] == 2
         assert run_cli(capsys, ["crosscheck", "--file", "-", "--strict"])[0] == 2
-        # the series cap and the recognition tolerance are fixed
+        # the series cap, the recognition tolerance and the admissible range are fixed
         for name, argv in MINIMAL_ARGV.items():
             assert run_cli(capsys, [name, *argv, "--nmax-cap", "2000000"])[0] == 2
+            assert run_cli(capsys, [name, *argv, "--pmax", "50"])[0] == 2
             assert run_cli(capsys, [name, *argv, "--tolerance", "1e-8"])[0] == 2
 
     def test_minimal_argv_covers_every_subcommand(self):
@@ -216,7 +215,7 @@ class TestCli:
 
     def test_readme_option_table_matches_the_parser(self, capsys):
         table = readme_option_table()
-        assert {"--strict", "--sample-bound", "--pmax"} <= set(table)
+        assert {"--strict", "--sample-bound"} <= set(table)
         for option, (args, listed) in table.items():
             assert listed and listed <= set(MINIMAL_ARGV), option
             for name, parser in subcommand_parsers().items():
