@@ -90,20 +90,32 @@ def period_of_model(E: CurveModel) -> float:
 # L(E, 1)
 
 
-def _kahan_series(a: list[int], coef: float, n_max: int) -> float:
-    """Compensated sum of a_n/n * exp(-coef * n) for n = 1..n_max."""
-    total = 0.0
-    comp = 0.0
+def _kahan_series(a: list[int], coefs: tuple[float, float, float], n_max: int) -> tuple[float, float, float]:
+    """Compensated sums of a_n/n * exp(-c n) for n = 1..n_max, one for each c
+    of coefs, in one pass: each sum sees its terms in the order and with the
+    floats of a pass of its own."""
+    c1, c2, c3 = coefs
+    s1 = s2 = s3 = 0.0
+    e1 = e2 = e3 = 0.0
+    exp = math.exp
     for n in range(1, n_max + 1):
         an = a[n]
         if an == 0:
             continue
-        term = (an / n) * math.exp(-coef * n)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+        w = an / n
+        y = w * exp(-c1 * n) - e1
+        t = s1 + y
+        e1 = (t - s1) - y
+        s1 = t
+        y = w * exp(-c2 * n) - e2
+        t = s2 + y
+        e2 = (t - s2) - y
+        s2 = t
+        y = w * exp(-c3 * n) - e3
+        t = s3 + y
+        e3 = (t - s3) - y
+        s3 = t
+    return s1, s2, s3
 
 
 def _series_length(N: int) -> int:
@@ -123,13 +135,9 @@ def _l_series(M: CurveModel) -> tuple[float, int, int]:
         raise PrecisionExhausted(f"series needs {n_max} terms, cap is {NMAX_CAP}")
     a = an_coefficients(M, n_max)
     sqN = math.sqrt(N)
-
-    def F(t: float) -> float:
-        return _kahan_series(a, 2.0 * math.pi * t / sqN, n_max)
-
-    f1 = F(1.0)
-    f_hi = F(_SAMPLE_T)
-    f_lo = F(1.0 / _SAMPLE_T)
+    # F(t) at t = 1, _SAMPLE_T and 1 / _SAMPLE_T
+    coefs = tuple(2.0 * math.pi * t / sqN for t in (1.0, _SAMPLE_T, 1.0 / _SAMPLE_T))
+    f1, f_hi, f_lo = _kahan_series(a, coefs, n_max)
     disc_plus = abs(2.0 * f1 - (f_hi + f_lo))
     disc_minus = abs(f_hi - f_lo)
     if disc_plus <= disc_minus:

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 from functools import cache
@@ -8,6 +9,18 @@ import pytest
 
 from twistcheck.arith import _depressed_cubic_roots, factorize
 from twistcheck.curves import CurveModel, Point, base_curve, minimal_model, point_order, rst
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """Fails the run if it leaves a child of the test process unreaped, as a
+    forked share of an_coefficients would be."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test run left a child process")
 
 
 @pytest.fixture(scope="session")

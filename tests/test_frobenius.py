@@ -1,6 +1,10 @@
 import bisect
+import marshal
 import math
+import os
 import random
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -411,6 +415,100 @@ class TestAnCoefficients:
         assert a[6] == a[2] * a[3]
         assert a[35] == a[5] * a[7]
         assert a[450] == a[2] * a[9] * a[25]
+
+    # The split into shares, forced on small n_max: every share holds at least
+    # MIN_SHARE = 10 primes, and k is the patched CPU count.
+    N_SPLIT = 600
+
+    @staticmethod
+    def split_into(monkeypatch, k: int) -> list[int]:
+        """Make an_coefficients split into k shares; the returned list gets
+        one entry per fork of the calling process."""
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(frobenius, "MIN_SHARE", 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_split_gives_the_one_process_list(self, x15, x21, monkeypatch, k):
+        curves = [x15, x21, *(quadratic_twist(x15, d) for d in (-7, 629, 1093))]
+        curves += [quadratic_twist(x21, d) for d in (-7, 629, 1093)]
+        curves += [minimal_model(E) for E in random_curves(6, seed=41, coeff_bound=40)]
+        want = [an_coefficients(E, self.N_SPLIT) for E in curves]
+        forks = self.split_into(monkeypatch, k)
+        for E, a in zip(curves, want):
+            forks.clear()
+            assert an_coefficients(E, self.N_SPLIT) == a, E
+            assert len(forks) == k - 1
+        bad = {ld.p for E in curves[-6:] for ld in conductor(minimal_model(E)).local_data}
+        assert any(7 < p <= self.N_SPLIT for p in bad)  # the random models bring other bad primes
+
+    def test_a_failing_share_raises_as_in_one_process(self, x15, monkeypatch):
+        def fail_at_13(E, p):
+            if p == 13:  # primes[5]: share 1 of 2
+                raise ArithmeticError(f"no count at p = {p}")
+            return count_points(E, p)
+
+        monkeypatch.setattr(frobenius, "count_points", fail_at_13)
+        with pytest.raises(ArithmeticError) as one:
+            an_coefficients(x15, self.N_SPLIT)
+        forks = self.split_into(monkeypatch, 2)
+        with pytest.raises(ArithmeticError) as split:
+            an_coefficients(x15, self.N_SPLIT)
+        assert forks == [1]
+        assert type(split.value) is type(one.value) is ArithmeticError
+        assert str(split.value) == str(one.value) == "no count at p = 13"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_short_result_is_counted_again(self, x15, monkeypatch):
+        want = an_coefficients(x15, self.N_SPLIT)
+        forks = self.split_into(monkeypatch, 3)
+        short = SimpleNamespace(dumps=lambda traces: marshal.dumps(traces[:-1]), loads=marshal.loads)
+        monkeypatch.setattr(frobenius, "marshal", short)
+        assert an_coefficients(x15, self.N_SPLIT) == want
+        assert forks == [1, 1]
+
+    def test_a_failed_fork_leaves_its_shares_here(self, x15, monkeypatch):
+        want = an_coefficients(x15, self.N_SPLIT)
+        fds = len(os.listdir("/dev/fd"))
+        forks = self.split_into(monkeypatch, 3)
+        fork = os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert an_coefficients(x15, self.N_SPLIT) == want
+        assert forks == [1]
+        assert len(os.listdir("/dev/fd")) == fds
+
+    def test_no_fork_on_one_cpu_without_fork_or_beside_a_thread(self, x15, monkeypatch):
+        want = an_coefficients(x15, self.N_SPLIT)
+
+        def no_fork():
+            raise AssertionError("an_coefficients forked")
+
+        self.split_into(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert an_coefficients(x15, self.N_SPLIT) == want
+        self.split_into(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert an_coefficients(x15, self.N_SPLIT) == want
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert an_coefficients(x15, self.N_SPLIT) == want
 
 
 class TestIsOrdinary:

@@ -8,12 +8,14 @@ from scipy.integrate import quad
 from conftest import random_curves, scale_up
 from twistcheck import lseries
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
-from twistcheck.frobenius import an_coefficients
+from twistcheck.frobenius import an_coefficients, ap
 from twistcheck.local_invariants import conductor
 from twistcheck.lseries import (
     PrecisionExhausted,
     RecognitionFailed,
     _algebraic_l_ratio,
+    _kahan_series,
+    _series_length,
     algebraic_l_ratio,
     is_p_adic_unit,
     period_of_model,
@@ -155,6 +157,39 @@ class TestLValue:
                 algebraic_l_ratio(quadratic_twist(x15, 19))
         finally:
             _algebraic_l_ratio.cache_clear()
+
+
+def kahan_one(a: list[int], coef: float, n_max: int) -> float:
+    """The reference: one compensated pass of a_n/n * exp(-coef * n)."""
+    total = comp = 0.0
+    for n in range(1, n_max + 1):
+        if a[n]:
+            y = (a[n] / n) * math.exp(-coef * n) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return total
+
+
+class TestSeriesSums:
+    def test_one_pass_equals_three(self, x15, x21):
+        curves = [quadratic_twist(E, d) for E in (x15, x21) for d in (-7, 2, 13, 629)]
+        curves += [minimal_model(E) for E in random_curves(4, seed=51, coeff_bound=6)]
+        for E in curves:
+            N = conductor(E).N
+            n_max = min(_series_length(N), 20000)
+            a = an_coefficients(E, n_max)
+            ts = (1.0, lseries._SAMPLE_T, 1.0 / lseries._SAMPLE_T)
+            coefs = tuple(2.0 * math.pi * t / math.sqrt(N) for t in ts)
+            assert _kahan_series(a, coefs, n_max) == tuple(kahan_one(a, c, n_max) for c in coefs), E
+
+    def test_series_leaves_ap_memo_alone(self, x15, x21):
+        before = ap.cache_info().currsize
+        misses = _algebraic_l_ratio.cache_info().misses
+        for Ed in (quadratic_twist(x15, 173), quadratic_twist(x15, -131), quadratic_twist(x21, 197)):
+            algebraic_l_ratio(Ed)
+        assert _algebraic_l_ratio.cache_info().misses == misses + 3
+        assert ap.cache_info().currsize == before
 
 
 class TestSeriesCap:
