@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class ZeroInput(ValueError):
@@ -235,8 +235,7 @@ def kronecker(a: int, n: int) -> int:
 # quadratic field data
 
 
-@dataclass(frozen=True)
-class QuadFieldData:
+class QuadFieldData(NamedTuple):
     """Discriminant and character-conductor exponents of Q(sqrt(d)), d > 1 squarefree."""
 
     d: int
@@ -250,8 +249,7 @@ class QuadFieldData:
         return 1 if self.d % p == 0 else 0
 
     def ramified_primes(self) -> list[int]:
-        ps = prime_divisors(self.D)
-        return ps
+        return prime_divisors(self.D)
 
 
 def quad_field_data(d: int) -> QuadFieldData:

@@ -12,9 +12,8 @@ supersingular reduction.  Failures are recorded as data, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .arith import is_prime, is_squarefree, prime_divisors, valuation
 from .curves import CurveModel, Family, base_curve, quadratic_twist
@@ -30,8 +29,7 @@ DOES_NOT_APPLY = "DoesNotApply"
 UNDETERMINED_VERDICT = "Undetermined"
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     tag: str  # coarse category: structural / analytic / local / galois / torsion
     evidence: Any
@@ -39,15 +37,14 @@ class Condition:
     undetermined: bool = False
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     family: Family
     d: int
     p: int
     conditions: tuple[Condition, ...]
     verdict: str
     path: str  # ordinary / supersingular / n/a
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
 
 def _evaluate(conditions) -> tuple[Condition, ...]:
@@ -231,8 +228,7 @@ def admissible_primes(fam, d: int):
     return excluded, _excluded_str(excluded)
 
 
-@dataclass(frozen=True)
-class TableRowResult:
+class TableRowResult(NamedTuple):
     row: TableRow
     computed_factors: tuple[tuple[int, int], ...]
     computed_lratio: Fraction
@@ -246,8 +242,7 @@ class TableRowResult:
         return self.conductor_match and self.lratio_match and self.admissible_match
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     which: int
     rows: tuple[TableRowResult, ...]
 

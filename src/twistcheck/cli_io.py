@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .certify import (
     APPLIES,
@@ -28,8 +28,7 @@ from .tabledata import factors_to_str
 from .torsion_galois import torsion_subgroup
 
 
-@dataclass(frozen=True)
-class ExternalCurveRow:
+class ExternalCurveRow(NamedTuple):
     conductor: int
     iso_class: str
     index: int

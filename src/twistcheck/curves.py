@@ -12,7 +12,6 @@ standard curve tables print.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -49,41 +48,58 @@ def rst(a, r, s, t):
     )
 
 
-@dataclass(frozen=True)
 class CurveModel:
     """Integral long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
     Every field is an int.  The b- and c-invariants, the discriminant and the
     hash are computed once, when the model is built; equality and hashing
-    look at the a-invariants only.  Build a model from rational a-invariants
-    with from_ainvs.
+    look at the a-invariants only.  Models are immutable, because caches are
+    keyed on them.  Build a model from rational a-invariants with from_ainvs.
     """
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    b2: int = field(init=False, repr=False, compare=False)
-    b4: int = field(init=False, repr=False, compare=False)
-    b6: int = field(init=False, repr=False, compare=False)
-    b8: int = field(init=False, repr=False, compare=False)
-    c4: int = field(init=False, repr=False, compare=False)
-    c6: int = field(init=False, repr=False, compare=False)
-    _discriminant: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "_discriminant", "_hash")
 
-    def __post_init__(self) -> None:
-        ainvs = self.ainvs
-        names = ("b2", "b4", "b6", "b8", "c4", "c6", "_discriminant")
-        for name, value in zip(names, weierstrass_invariants(ainvs)):
-            object.__setattr__(self, name, value)
-        # the dataclass hash would build the a-invariant tuple on every lookup
-        # of a cache keyed on the model
-        object.__setattr__(self, "_hash", hash(ainvs))
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int) -> None:
+        # one set per slot, unrolled: models are built on hot paths (Tate's
+        # algorithm, every twist)
+        ainvs = (a1, a2, a3, a4, a6)
+        b2, b4, b6, b8, c4, c6, disc = weierstrass_invariants(ainvs)
+        setattr_ = object.__setattr__
+        setattr_(self, "a1", a1)
+        setattr_(self, "a2", a2)
+        setattr_(self, "a3", a3)
+        setattr_(self, "a4", a4)
+        setattr_(self, "a6", a6)
+        setattr_(self, "b2", b2)
+        setattr_(self, "b4", b4)
+        setattr_(self, "b6", b6)
+        setattr_(self, "b8", b8)
+        setattr_(self, "c4", c4)
+        setattr_(self, "c6", c6)
+        setattr_(self, "_discriminant", disc)
+        # hashed once: a cache keyed on the model looks it up on every call
+        setattr_(self, "_hash", hash(ainvs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CurveModel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CurveModel is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ainvs == other.ainvs
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild the model instead of setting its slots
+        return (CurveModel, self.ainvs)
+
+    def __repr__(self) -> str:
+        return f"CurveModel(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, a4={self.a4!r}, a6={self.a6!r})"
 
     @classmethod
     def from_ainvs(cls, ainvs) -> "CurveModel":

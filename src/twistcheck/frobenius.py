@@ -50,6 +50,7 @@ _BAD_TRACE = {SPLIT: 1, NONSPLIT: -1, ADDITIVE: 0}
 MIN_SHARE = 300
 MAX_SHARES = 8
 
+
 class BadReduction(ValueError):
     """Asked a good-reduction question at a bad prime."""
 

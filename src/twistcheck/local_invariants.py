@@ -10,8 +10,8 @@ roots and, at p >= 5, the translations are closed forms.  At p = 2 and 3 the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .arith import (
     NotSquarefree,
@@ -40,8 +40,7 @@ class NotMinimalAtP(ValueError):
     """The supplied model is not minimal at the given prime."""
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Reduction data of a minimal model at one prime."""
 
     p: int
@@ -52,8 +51,7 @@ class LocalData:
     vp_disc: int
 
 
-@dataclass(frozen=True)
-class ConductorReport:
+class ConductorReport(NamedTuple):
     N: int
     factorization: tuple[tuple[int, int], ...]
     local_data: tuple[LocalData, ...]

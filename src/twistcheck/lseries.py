@@ -11,9 +11,9 @@ orders of magnitude away from the achievable accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .arith import real_cubic_roots, valuation
 from .curves import CurveModel, SingularCurve, minimal_model
@@ -45,8 +45,7 @@ class RecognitionFailed(ArithmeticError):
     """No small rational sits within TOLERANCE of L1/Omega."""
 
 
-@dataclass(frozen=True)
-class LRatioResult:
+class LRatioResult(NamedTuple):
     l1: float
     omega: float
     root_number: int

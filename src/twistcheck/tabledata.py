@@ -10,12 +10,11 @@ an annotation instead of a silent fix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     d: int
     conductor_factors: tuple[tuple[int, int], ...]
     lratio: Fraction

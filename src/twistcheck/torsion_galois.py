@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .arith import (
     integer_roots,
@@ -65,15 +65,13 @@ class InvalidL(ValueError):
     """mod-l certification needs an odd prime l >= 3."""
 
 
-@dataclass(frozen=True)
-class TorsionStructure:
+class TorsionStructure(NamedTuple):
     invariant_factors: tuple[int, ...]
     order: int
     generators: tuple[Point, ...]  # points on the global minimal model
 
 
-@dataclass(frozen=True)
-class GaloisImageVerdict:
+class GaloisImageVerdict(NamedTuple):
     l: int
     verdict: str
     witnesses: tuple[tuple[str, int], ...]
