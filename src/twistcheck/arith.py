@@ -404,8 +404,18 @@ def pol_fixed_degree(f: list[int], xq: list[int], p: int) -> int:
 
 
 def pol_root_count(f: list[int], p: int) -> int:
-    """Number of distinct roots in F_p of f; all of F_p for f = 0 mod p."""
+    """Number of distinct roots in F_p of f; all of F_p for f = 0 mod p.
+
+    A quadratic a T^2 + b T + c is answered by the quadratic character of
+    b^2 - 4ac (Euler's criterion), or at p = 2 by its values at 0 and 1;
+    other degrees by deg gcd(f, T^p - T), from T^p mod f."""
     f = pol_trim([c % p for c in f])
     if len(f) <= 1:
         return 0 if f else p
+    if len(f) == 3:
+        c, b, a = f
+        if p == 2:
+            return (c == 0) + ((a + b + c) % 2 == 0)
+        disc = (b * b - 4 * a * c) % p
+        return 1 if disc == 0 else 2 if pow(disc, p >> 1, p) == 1 else 0
     return pol_fixed_degree(f, pol_powmod([0, 1], p, f, p), p)

@@ -3,9 +3,11 @@ Tamagawa products, and the closed-form conductor of a quadratic twist of a
 semistable curve.
 
 The per-prime routine works on exact integers and performs the classical
-step-by-step translations.  Roots mod p are counted by arith; repeated
-roots and, at p >= 5, the translations are closed forms.  At p = 2 and 3 the
-(tiny) residue searches for the translations are done exhaustively.
+step-by-step translations.  Roots mod p are counted by arith: the split test
+and the quadratics at IV, I_m* and IV* by the character of the discriminant,
+the I0* cubic by T^p mod f.  Repeated roots and, at p >= 5, the translations
+are closed forms.  At p = 2 and 3 the (tiny) residue searches for the
+translations are done exhaustively.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .arith import (
 )
 from .curves import (
     CurveModel,
-    SingularCurve,
     is_minimal_at,
     minimal_model,
     rst,
@@ -117,15 +118,13 @@ def _prepare_step7(a: tuple[int, ...], p: int) -> tuple[int, ...]:
 # Tate's algorithm proper
 
 
-def _tate_minimal(a: tuple[int, ...], p: int) -> LocalData:
-    disc = weierstrass_invariants(a)[6]
-    if disc == 0:
-        raise SingularCurve("discriminant is zero")
+def _tate_minimal(E: CurveModel, p: int) -> LocalData:
+    disc = E.discriminant
     if disc % p:
         return LocalData(p, "I0", 0, 1, GOOD, 0)
     n = valuation(disc, p)
 
-    a = _move_singular_point(a, p)
+    a = _move_singular_point(E.ainvs, p)
     a1, a2, a3, a4, a6 = a
     b2, _, b6, b8, _, _, _ = weierstrass_invariants(a)
     if not (a3 % p == 0 and a4 % p == 0 and a6 % p == 0):
@@ -226,7 +225,7 @@ def tate_local(E: CurveModel, p: int) -> LocalData:
     """
     if not is_minimal_at(E, p):
         raise NotMinimalAtP(f"model {E} is not minimal at {p}")
-    ld = _tate_minimal(E.ainvs, p)
+    ld = _tate_minimal(E, p)
     if ld.kind == ADDITIVE:
         if ld.f < 2 or (p >= 5 and ld.f > 2) or (p == 3 and ld.f > 5) or (p == 2 and ld.f > 8):
             raise ArithmeticError(f"impossible conductor exponent {ld.f} at {p}")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from twistcheck.arith import (
     is_prime,
     is_squarefree,
     kronecker,
+    pol_fixed_degree,
     pol_mul,
+    pol_powmod,
     pol_root_count,
     quad_field_data,
     real_cubic_roots,
@@ -212,6 +215,47 @@ class TestRoots:
         for f in ([1, 0, 0, 1], [6, -5, 0, 1], [3, 1, 4, 1], [0, 0, 1], [2, 7, 1, 8, 2, 1]):
             search = sum(1 for t in range(p) if sum(c * t**i for i, c in enumerate(f)) % p == 0)
             assert pol_root_count(f, p) == search, (f, p)
+
+
+def search_count(f, p):
+    return sum(1 for t in range(p) if sum(c * t**i for i, c in enumerate(f)) % p == 0)
+
+
+class TestQuadraticRootCount:
+    """Quadratics are counted from the discriminant; checked against an
+    exhaustive search, against the T^p gcd and on built root patterns."""
+
+    def test_matches_search_for_small_primes(self):
+        # at p = 2 the seeded draws reach all four quadratics T^2 + b T + c
+        rng = random.Random(18)
+        for p in sieve_primes(200):
+            for _ in range(40):
+                f = [rng.randint(-3 * p, 3 * p) for _ in range(2)] + [rng.choice([1, -1]) * rng.randint(1, 3 * p)]
+                assert pol_root_count(f, p) == search_count(f, p), (f, p)
+
+    @pytest.mark.parametrize("p", [10**12 + 39, 2**61 - 1])
+    def test_built_root_patterns_at_large_primes(self, p):
+        # both primes are 3 mod 4, so -1 is a known non-residue
+        assert is_prime(p) and p % 4 == 3
+        rng = random.Random(p)
+        for _ in range(20):
+            a, r, s = (rng.randrange(1, p) for _ in range(3))
+            if r == s:
+                continue
+            two = [a * r * s, -a * (r + s), a]  # a (T - r)(T - s)
+            double = [a * r * r, -2 * a * r, a]  # a (T - r)^2
+            none = [a * (r * r + s * s), -2 * a * r, a]  # a ((T - r)^2 + s^2)
+            assert [pol_root_count(f, p) for f in (two, double, none)] == [2, 1, 0]
+            for f in (two, double, none):
+                assert pol_root_count(f, p) == pol_fixed_degree(f, pol_powmod([0, 1], p, f, p), p)
+        assert pol_root_count([1, 0, 1], p) == 0
+
+    def test_degenerate_reductions(self):
+        for p in (2, 3, 7, 10**12 + 39):
+            assert pol_root_count([p, 5 * p, -p], p) == p  # f = 0 mod p
+            assert pol_root_count([p + 1, 0, p], p) == 0  # the constant 1
+            assert pol_root_count([1, 1, 2 * p], p) == 1  # linear: T + 1
+            assert pol_root_count([-6, 5, 7 * p], p) == 1  # linear: 5 T - 6
 
 
 class TestQuadFieldData:

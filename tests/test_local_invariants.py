@@ -1,9 +1,11 @@
+import random
 import time
 
 import pytest
 
 from conftest import random_curves
-from twistcheck.arith import NotSquarefree, factorize, is_squarefree
+from twistcheck import arith
+from twistcheck.arith import NotSquarefree, factorize, is_prime, is_squarefree, kronecker
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.local_invariants import (
     ADDITIVE,
@@ -77,6 +79,86 @@ class TestTateLocal:
                         assert ld.f <= 5
                     else:
                         assert ld.f <= 8
+
+
+class TestSplitMultiplicative:
+    """Split or nonsplit from the quadratic character of -c6 mod p (p >= 5),
+    not from a root count: a twist by a non-residue mod p swaps them."""
+
+    @staticmethod
+    def multiplicative_cases():
+        rng = random.Random(18)
+        cases = []
+        # random models with a multiplicative prime p > 10^6 (all I1 here)
+        while len(cases) < 6:
+            E = CurveModel(*(rng.randint(-300, 300) for _ in range(5)))
+            if E.discriminant == 0:
+                continue
+            try:
+                rep = conductor(E)
+            except ValueError:  # a composite cofactor beyond trial division
+                continue
+            M = minimal_model(E)
+            cases += [(M, ld.p) for ld in rep.local_data if ld.p > 10**6 and ld.f == 1]
+        # y^2 + xy = x^3 + a2 x^2 + u p^n: I_n at p, disc = -u p^n ((1 + 4 a2)^3 + 432 u p^n)
+        while len(cases) < 18:
+            p = rng.randrange(10**6, 10**12) | 1
+            while not is_prime(p):
+                p += 2
+            n, a2, u = rng.randint(2, 7), rng.randint(-50, 50), rng.choice([1, -1, 2, -3, 5])
+            cases.append((CurveModel(1, a2, 0, 0, u * p**n), p))
+        return cases
+
+    def test_twist_by_a_non_residue_swaps_split_and_nonsplit(self):
+        for E, p in self.multiplicative_cases():
+            d = next(q for q in range(2, 200) if is_prime(q) and kronecker(q, p) == -1)
+            if kronecker(-1, p) == 1:  # -d is a non-residue too
+                d = -d
+            ld, lt = tate_local(E, p), tate_local(quadratic_twist(E, d), p)
+            n = ld.vp_disc
+            assert ld.kind == (SPLIT if kronecker(-E.c6, p) == 1 else NONSPLIT), (E, p)
+            assert ld.kodaira == lt.kodaira == f"I{n}" and lt.vp_disc == n
+            assert {ld.kind, lt.kind} == {SPLIT, NONSPLIT}
+            for x in (ld, lt):
+                assert x.f == 1 and x.c == (n if x.kind == SPLIT else 2 - n % 2)
+
+
+class TestRootCountMechanism:
+    """Quadratic root counts in Tate's algorithm need no T^p mod f: conductor
+    calls arith.pol_powmod once per I0* fibre (its cubic) and nowhere else."""
+
+    @staticmethod
+    def powmod_calls(E, monkeypatch):
+        calls = 0
+        powmod = arith.pol_powmod
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return powmod(*args)
+
+        monkeypatch.setattr(arith, "pol_powmod", counted)
+        rep = conductor.__wrapped__(E)  # uncached
+        monkeypatch.undo()
+        return calls, sum(ld.kodaira == "I0*" for ld in rep.local_data)
+
+    def test_family_twists(self, x15, x21, monkeypatch):
+        assert self.powmod_calls(x15, monkeypatch) == self.powmod_calls(x21, monkeypatch) == (0, 0)
+        # every odd prime of d divides the level and d = 1 mod 4: I_n* fibres only
+        for E, d in ((x15, 5), (x15, -3), (x15, -15), (x21, -3), (x21, -7), (x21, 21)):
+            assert self.powmod_calls(quadratic_twist(E, d), monkeypatch) == (0, 0), d
+        for E in (x15, x21):
+            for d in SQUAREFREE_200[:30] + [-d for d in SQUAREFREE_200[:30]]:
+                calls, i0star = self.powmod_calls(quadratic_twist(E, d), monkeypatch)
+                assert calls == i0star, d
+
+    def test_seeded_models(self, monkeypatch):
+        without_i0star = 0
+        for E in random_curves(60, seed=18, coeff_bound=40):
+            calls, i0star = self.powmod_calls(E, monkeypatch)
+            assert calls == i0star, E
+            without_i0star += i0star == 0
+        assert without_i0star >= 50
 
 
 def fiber_components(ld):
