@@ -297,56 +297,3 @@ def quadratic_twist(E: CurveModel, d: int) -> CurveModel:
     short = CurveModel(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
     return minimal_model(short)
 
-
-# ---------------------------------------------------------------------------
-# exact affine group law (points are (x, y) Fractions; None is the origin)
-
-Point = tuple[Fraction, Fraction] | None
-
-
-def point_add(E: CurveModel, P: Point, Q: Point) -> Point:
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    a1, a2, a3, a4, a6 = E.ainvs
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if y1 + y2 + a1 * x2 + a3 == 0:
-            return None  # Q = -P
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return (x3, y3)
-
-
-def point_mul(E: CurveModel, k: int, P: Point) -> Point:
-    """k P, for k >= 0."""
-    R: Point = None
-    Q = P
-    while k:
-        if k & 1:
-            R = point_add(E, R, Q)
-        k >>= 1
-        if k:
-            Q = point_add(E, Q, Q)
-    return R
-
-
-def point_order(E: CurveModel, P: Point, max_order: int = 12) -> int | None:
-    """Order of P if <= max_order, else None (rational torsion has order <= 12)."""
-    if P is None:
-        return 1
-    Q = P
-    k = 1
-    while True:
-        Q = point_add(E, Q, P)
-        k += 1
-        if Q is None:
-            return k
-        if k >= max_order:
-            return None

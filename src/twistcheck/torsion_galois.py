@@ -1,10 +1,13 @@
 """Rational torsion subgroups and one-sided mod-l surjectivity certificates.
 
-Torsion bounds the order by the gcd of reduction counts at eight good odd
-primes, then searches E[n] only, for each n = gcd(bound, 8 | 9 | 5 | 7) > 1
-that Mazur allows.  Those points are integral on the scaled short model
-Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6 (Lutz-Nagell), so X is an integer
-root of a division polynomial; the group is the sum of the parts.
+Torsion bounds the order by the gcd of reduction counts at eight odd primes
+prime to the minimal discriminant, then searches E[n] only, for each
+n = gcd(bound, 8 | 9 | 5 | 7) > 1 that Mazur allows.  Those points are
+integral on the scaled short model Y^2 = X^3 + A X + B, A = -27 c4,
+B = -54 c6 (Lutz-Nagell), so X is an integer root of a division polynomial.
+The points are counted, not built: the order is the product of the counts of
+the parts, and since the order and #E(Q)[2] tell Mazur's fifteen groups
+apart, they give the structure.
 
 Surjectivity mod l >= 5 is certified from Frobenius trace/determinant pairs:
 one witness whose characteristic polynomial is irreducible (nonsquare
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -41,14 +43,7 @@ from .arith import (
     pol_trim,
     sieve_primes,
 )
-from .curves import (
-    CurveModel,
-    Point,
-    minimal_model,
-    point_add,
-    point_mul,
-    point_order,
-)
+from .curves import CurveModel, minimal_model
 from .frobenius import ap, count_points
 from .local_invariants import conductor
 
@@ -68,7 +63,6 @@ class InvalidL(ValueError):
 class TorsionStructure(NamedTuple):
     invariant_factors: tuple[int, ...]
     order: int
-    generators: tuple[Point, ...]  # points on the global minimal model
 
 
 class GaloisImageVerdict(NamedTuple):
@@ -84,44 +78,38 @@ class GaloisImageVerdict(NamedTuple):
 
 @cache
 def torsion_subgroup(E: CurveModel) -> TorsionStructure:
-    """Exact rational torsion subgroup (generators live on the minimal model)."""
+    """Order and invariant factors of E(Q)_tors.  The good primes of the bound
+    are those prime to the minimal discriminant; the order is the product of
+    the parts' point counts, and the structure follows from it and #E(Q)[2]."""
     M = minimal_model(E)
 
-    bad = {ld.p for ld in conductor(E).local_data}
-
     # (i) order bound from reductions at eight good odd primes
-    good = (p for p in sieve_primes(10_000) if p != 2 and p not in bad)
+    good = (p for p in sieve_primes(10_000) if p != 2 and M.discriminant % p)
     bound = math.gcd(*(count_points(M, p) for p in itertools.islice(good, 8)))
 
     # (ii) the l-part lies in E[n], n = gcd(bound, 8 | 9 | 5 | 7) by Mazur; its
-    # points are integral on Y^2 = X^3 + A X + B (Lutz-Nagell)
+    # points are integral on Y^2 = F(X) = X^3 + A X + B (Lutz-Nagell): two per
+    # X with F(X) a nonzero square, one (of order 2) per root of F
     A, B = -27 * M.c4, -54 * M.c6
-    group: list[Point] = [None]
+    order = two_torsion = 1
     for n in (math.gcd(bound, q) for q in (8, 9, 5, 7)):
-        part: list[Point] = [None]
+        part = 1
         for X in integer_roots(_division_polynomial(A, B, n)):
             Y2 = (X * X + A) * X + B
-            Y = math.isqrt(max(Y2, 0))
-            if Y * Y == Y2:
-                x = Fraction(X - 3 * M.b2, 36)
-                part += [(x, (y - 108 * (M.a1 * x + M.a3)) / 216) for y in {Y, -Y}]
-        group = [point_add(M, P, Q) for P in group for Q in part]
+            if Y2 == 0:
+                part += 1
+                two_torsion += 1
+            elif Y2 > 0 and math.isqrt(Y2) ** 2 == Y2:
+                part += 2
+        order *= part
 
-    order = len(group)
     if bound % order:
         raise RuntimeError("realized torsion does not divide the reduction bound")
-
-    orders = {P: point_order(M, P) for P in group if P is not None}
-    h = max(orders.values(), default=1)
-    factors = tuple(f for f in (order // h, h) if f > 1)
+    # E(Q)_tors = Z/m x Z/mk with m = 1 or 2, and m = 2 exactly when E[2] is rational
+    factors = (2, order // 2) if two_torsion == 4 else (order,) if order > 1 else ()
     if _MAZUR.get(factors) != order:
-        raise RuntimeError(f"torsion of order {order} and exponent {h} is not an allowed group")
-    gens = [P for P, o in orders.items() if o == h][:1]
-    if len(factors) == 2:
-        cyc = {point_mul(M, k, gens[0]) for k in range(h)}
-        gens.insert(0, next(P for P, o in orders.items() if o == factors[0] and P not in cyc))
-
-    return TorsionStructure(factors, order, tuple(gens))
+        raise RuntimeError(f"torsion of order {order} with #E(Q)[2] = {two_torsion} is not an allowed group")
+    return TorsionStructure(factors, order)
 
 
 def _division_polynomial(A: int, B: int, n: int) -> list[int]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twistcheck.arith import _depressed_cubic_roots, factorize
-from twistcheck.curves import CurveModel, Point, base_curve, minimal_model, point_order, rst
+from twistcheck.curves import CurveModel, base_curve, minimal_model, rst
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -56,6 +56,61 @@ def scale_up(E: CurveModel, u: int) -> CurveModel:
     return CurveModel(*(a * u**i for a, i in zip(E.ainvs, (1, 2, 3, 4, 6))))
 
 
+# ---------------------------------------------------------------------------
+# exact affine group law (points are (x, y) Fractions; None is the origin): the
+# reference the program's torsion counts are tested against
+
+Point = tuple[Fraction, Fraction] | None
+
+
+def point_add(E: CurveModel, P: Point, Q: Point) -> Point:
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    a1, a2, a3, a4, a6 = E.ainvs
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if y1 + y2 + a1 * x2 + a3 == 0:
+            return None  # Q = -P
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    nu = y1 - lam * x1
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = -(lam + a1) * x3 - nu - a3
+    return (x3, y3)
+
+
+def point_mul(E: CurveModel, k: int, P: Point) -> Point:
+    """k P, for k >= 0."""
+    R: Point = None
+    Q = P
+    while k:
+        if k & 1:
+            R = point_add(E, R, Q)
+        k >>= 1
+        if k:
+            Q = point_add(E, Q, Q)
+    return R
+
+
+def point_order(E: CurveModel, P: Point, max_order: int = 12) -> int | None:
+    """Order of P if <= max_order, else None (rational torsion has order <= 12)."""
+    if P is None:
+        return 1
+    Q = P
+    k = 1
+    while True:
+        Q = point_add(E, Q, P)
+        k += 1
+        if Q is None:
+            return k
+        if k >= max_order:
+            return None
+
+
 def on_curve(E: CurveModel, P: Point) -> bool:
     if P is None:
         return True
@@ -87,11 +142,11 @@ def exact_count(E: CurveModel, p: int) -> int:
     return p + 1 + int(chi.sum())
 
 
-def scan_torsion(E: CurveModel) -> tuple[int, ...]:
-    """Invariant factors of E(Q)_tors by the Lutz-Nagell divisor scan: every
-    point of order <= 12 on Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6, with
-    Y = 0 or Y^2 | 4 A^3 + 27 B^2 = -2^8 3^12 disc.  The reference
-    torsion_subgroup is tested against."""
+def torsion_points(E: CurveModel) -> dict[Point, int]:
+    """Every nonzero rational torsion point of the minimal model of E, with its
+    order, by the Lutz-Nagell divisor scan: every point of order <= 12 on
+    Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6, with Y = 0 or
+    Y^2 | 4 A^3 + 27 B^2 = -2^8 3^12 disc."""
     M = minimal_model(E)
     A, B = -27 * M.c4, -54 * M.c6
     exps = {2: 8, 3: 12}
@@ -102,15 +157,24 @@ def scan_torsion(E: CurveModel) -> tuple[int, ...]:
         ys = [y * p**k for y in ys for k in range(e // 2 + 1)]
     # an exact filter: X^3 + A X + B = y^2 must be solvable mod q
     values = {q: {(x**3 + A * x + B) % q for x in range(q)} for q in (7, 11, 13, 17)}
-    orders = [1]
+    points: dict[Point, int] = {}
     for y in [0] + ys:
         if any(y * y % q not in v for q, v in values.items()):
             continue
         for X in _integer_cubic_roots(A, B - y * y):
             x = Fraction(X - 3 * M.b2, 36)
             for Y in {y, -y}:
-                order = point_order(M, (x, (Y - 108 * (M.a1 * x + M.a3)) / 216), 12)
-                orders += [order] if order else []
+                P = (x, (Y - 108 * (M.a1 * x + M.a3)) / 216)
+                order = point_order(M, P, 12)
+                if order:
+                    points[P] = order
+    return points
+
+
+def scan_torsion(E: CurveModel) -> tuple[int, ...]:
+    """Invariant factors of E(Q)_tors from torsion_points.  The reference
+    torsion_subgroup is tested against."""
+    orders = [1, *torsion_points(E).values()]
     h = max(orders)
     return tuple(f for f in (len(orders) // h, h) if f > 1)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import on_curve, point_neg, random_curves, rst_transform
+from conftest import on_curve, point_add, point_mul, point_neg, point_order, random_curves, rst_transform
 from twistcheck.arith import NotSquarefree, iroot, valuation
 from twistcheck.curves import (
     CurveModel,
@@ -15,9 +15,6 @@ from twistcheck.curves import (
     base_curve,
     minimal_model,
     parse_ainvs,
-    point_add,
-    point_mul,
-    point_order,
     quadratic_twist,
     weierstrass_invariants,
 )

@@ -1,16 +1,17 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import on_curve, random_curves, scan_torsion
+from conftest import random_curves, scan_torsion, torsion_points
+from twistcheck import local_invariants
 from twistcheck.arith import integer_roots, is_squarefree, sieve_primes
 from twistcheck.curves import (
     CurveModel,
     base_curve,
     minimal_model,
-    point_order,
     quadratic_twist,
 )
 from twistcheck.frobenius import count_points
@@ -96,18 +97,56 @@ MAZUR_ANCHORS = {
 }
 
 
+def tate_normal(b, c):
+    """a-invariants of E(b, c): y^2 + (1 - c) xy - b y = x^3 - b x^2."""
+    return (1 - c, -b, -b, 0, 0)
+
+
+# Kubert's families (Kubert, Proc. LMS 33, 1976): a point of the family's
+# order at (0, 0); (3) on y^2 + t xy + y = x^3, the rest in Tate normal form
+KUBERT = {
+    (3,): lambda t: (t, 0, 1, 0, 0),
+    (4,): lambda t: tate_normal(t, 0),
+    (5,): lambda t: tate_normal(t, t),
+    (6,): lambda t: tate_normal(t + t * t, t),
+    (7,): lambda t: tate_normal(t**3 - t * t, t * t - t),
+    (8,): lambda t: tate_normal((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
+    (9,): lambda t: tate_normal(t * t * (t - 1) * (t * t - t + 1), t * t * (t - 1)),
+    (10,): lambda t: tate_normal(
+        t**3 * (t - 1) * (2 * t - 1) / (t * t - 3 * t + 1) ** 2,
+        -t * (t - 1) * (2 * t - 1) / (t * t - 3 * t + 1),
+    ),
+    (12,): lambda t: tate_normal(
+        t * (2 * t - 1) * (2 * t * t - 2 * t + 1) * (3 * t * t - 3 * t + 1) / (t - 1) ** 4,
+        -t * (2 * t - 1) * (3 * t * t - 3 * t + 1) / (t - 1) ** 3,
+    ),
+    (2, 4): lambda t: tate_normal(t * t - Fraction(1, 16), 0),
+    (2, 6): lambda t: tate_normal((c := (10 - 2 * t) / (t * t - 9)) + c * c, c),
+}
+
+
+def kubert_curves() -> list[tuple[tuple[int, ...], CurveModel]]:
+    """(family, curve) for every nonsingular member of Kubert's families at
+    t = 2, ..., 7, 2/3, 4/3 and 5/3."""
+    out = []
+    for factors, family in KUBERT.items():
+        for t in [Fraction(t) for t in range(2, 8)] + [Fraction(n, 3) for n in (2, 4, 5)]:
+            try:
+                E = CurveModel.from_ainvs(family(t))
+            except ZeroDivisionError:
+                continue
+            if E.discriminant:
+                out.append((factors, E))
+    return out
+
+
 class TestTorsion:
     @pytest.mark.parametrize("factors", MAZUR_ANCHORS)
     def test_every_mazur_shape(self, factors):
         E = CurveModel.from_ainvs(MAZUR_ANCHORS[factors])
-        M = minimal_model(E)
         tor = torsion_subgroup(E)
         assert tor.invariant_factors == factors
         assert tor.order == math.prod(factors)
-        assert len(tor.generators) == len(factors)
-        for gen, n in zip(tor.generators, factors):
-            assert on_curve(M, gen)
-            assert point_order(M, gen) == n
 
     def test_matches_divisor_scan(self, x15, x21):
         curves = [CurveModel.from_ainvs(a) for a in MAZUR_ANCHORS.values()]
@@ -116,6 +155,13 @@ class TestTorsion:
             curves += [quadratic_twist(E, d) for d in range(2, 101) if is_squarefree(d)]
         for E in curves:
             assert torsion_subgroup(E).invariant_factors == scan_torsion(E), E
+        # some members are larger than their family: Z/4 at t = 3 is (2, 4)
+        kubert = kubert_curves()
+        assert len(kubert) == 96
+        for factors, E in kubert:
+            tor = torsion_subgroup(E)
+            assert tor.invariant_factors == scan_torsion(E), (factors, E)
+            assert tor.order % math.prod(factors) == 0, (factors, E)
 
     def test_base_curves(self, x15, x21):
         for E in (x15, x21):
@@ -150,30 +196,38 @@ class TestTorsion:
                     break
             assert g % tor.order == 0
 
-    def test_generators_live_on_minimal_model_with_exact_orders(self, x15, x21):
-        for E in (x15, x21, quadratic_twist(x15, 17)):
-            M = minimal_model(E)
-            tor = torsion_subgroup(E)
-            assert len(tor.generators) == len(tor.invariant_factors)
-            for gen, expect in zip(tor.generators, tor.invariant_factors):
-                assert on_curve(M, gen)
-                assert point_order(M, gen) == expect
+    def test_good_primes_need_no_conductor(self, x15, monkeypatch):
+        """The good primes of the reduction bound are read off the minimal
+        discriminant, not found by Tate's algorithm."""
+        calls = 0
+        original = local_invariants.conductor
+
+        def counted(E):
+            nonlocal calls
+            calls += 1
+            return original(E)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twistcheck") and getattr(module, "conductor", None) is original:
+                monkeypatch.setattr(module, "conductor", counted)
+        torsion_subgroup.cache_clear()
+        curves = [CurveModel.from_ainvs(a) for a in MAZUR_ANCHORS.values()]
+        curves += [quadratic_twist(x15, d) for d in (2, 3, 17)]
+        for E in curves:
+            torsion_subgroup(E)
+        assert calls == 0
 
     def test_torsion_injects_into_reductions(self, x15):
         M = minimal_model(x15)
         a = M.ainvs
-        tor = torsion_subgroup(M)
-        from twistcheck.curves import point_mul
-
-        pts = [point_mul(M, k, tor.generators[-1]) for k in range(1, 4)] + [tor.generators[0]]
+        points = torsion_points(M)  # the nonzero points, with their orders
+        assert len(points) + 1 == torsion_subgroup(x15).order
         disc = M.discriminant
         for p in (7, 11, 13, 17, 19, 23):
             if disc % p == 0:
                 continue
-            for P in pts:
-                if P is None:
-                    continue
-                assert modp_order(a, reduce_point(P, p), p) == point_order(M, P)
+            for P, order in points.items():
+                assert modp_order(a, reduce_point(P, p), p) == order
 
     def test_no_numpy_root_finding(self, x15, x21, monkeypatch):
         import numpy
@@ -201,7 +255,7 @@ class TestTorsion:
         tor = torsion_subgroup(E)
         assert time.perf_counter() - start < 5
         assert tor.invariant_factors == (2, 2)
-        assert {P[0] for P in tor.generators} <= {0, m, -m}
+        assert tor.order == 4
 
     def test_trivial_torsion(self):
         E = CurveModel.from_ainvs((0, 0, 1, -1, 0))  # rank-1 curve 37a1, trivial torsion
