@@ -4,6 +4,7 @@ from .arith import (
     NotSquarefree,
     ZeroInput,
     factorize,
+    is_p_adic_unit,
     is_squarefree,
     kronecker,
     quad_field_data,
@@ -40,7 +41,6 @@ from .lseries import (
     RecognitionFailed,
     RootNumberAmbiguous,
     algebraic_l_ratio,
-    is_p_adic_unit,
 )
 from .torsion_galois import (
     GaloisImageVerdict,

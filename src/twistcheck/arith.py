@@ -198,6 +198,12 @@ def valuation(q, p: int) -> int:
     return v
 
 
+def is_p_adic_unit(q, p: int) -> bool:
+    """False at zero; otherwise true iff v_p(q) = 0."""
+    q = Fraction(q)
+    return q != 0 and valuation(q, p) == 0
+
+
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a/n), completely multiplicative in n."""
     if n == 0:

@@ -15,11 +15,10 @@ import math
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-from .arith import is_prime, is_squarefree, prime_divisors, valuation
+from .arith import is_p_adic_unit, is_prime, is_squarefree, prime_divisors, valuation
 from .curves import CurveModel, Family, base_curve, quadratic_twist
 from .frobenius import ap, is_ordinary
 from .local_invariants import conductor, tamagawa_product
-from .lseries import is_p_adic_unit
 from .modsym import family_l_ratio
 from .tabledata import TABLE1, TABLE2, TableRow, factors_to_str
 from .torsion_galois import SURJECTIVE, UNDETERMINED, mod_l_image, torsion_subgroup

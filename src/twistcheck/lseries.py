@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .arith import real_cubic_roots, valuation
+from .arith import real_cubic_roots
 from .curves import CurveModel, SingularCurve, minimal_model
 from .frobenius import an_coefficients
 from .local_invariants import conductor
@@ -121,7 +121,8 @@ def _series_length(N: int) -> int:
     """Smallest n_max whose tail majorant 2 q^(M+1)/(1-q) at t = 1 / _SAMPLE_T is < _TAIL_EPS."""
     c = 2.0 * math.pi * (1.0 / _SAMPLE_T) / math.sqrt(N)
     q = math.exp(-c)
-    n = math.ceil((math.log(2.0) - math.log(_TAIL_EPS * (1.0 - q))) / c)
+    # past N ~ 9e33, q rounds to 1 and only expm1 keeps 1 - q
+    n = math.ceil((math.log(2.0) - math.log(_TAIL_EPS * (1.0 - q or -math.expm1(-c)))) / c)
     return max(n, 20)
 
 
@@ -175,10 +176,3 @@ def _algebraic_l_ratio(M: CurveModel) -> LRatioResult:
         )
     return LRatioResult(l1, omega, w, guess, n_max)
 
-
-def is_p_adic_unit(q, p: int) -> bool:
-    """False at zero; otherwise true iff v_p(q) = 0."""
-    q = Fraction(q)
-    if q == 0:
-        return False
-    return valuation(q, p) == 0

@@ -12,7 +12,10 @@ L(E, 1)/Omega(E).  phi lives on the Manin symbols (c:d) of P^1(Z/N): modulo
 x = -xS, x = x eta and x + xT + xT^2 = 0 they span the plus quotient, and
 phi is the line of it on which T_2 acts by a_2(E).  {0, a/b} is a sum of
 Manin symbols read off the continued fraction of a/b.  The symbol is built
-once per level, on first use.
+once per level, on first use.  Its scale needs no series: both base curves
+are X_0(N) (Manin constant 1) with discriminant > 0, so phi takes the values
+omega_1 Z on the integral cycles of X_0(N), and Omega = 2 omega_1 (Manin,
+Izv. 1972; see plus_symbol).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from functools import cache
 from .arith import iroot, kronecker, quad_field_data
 from .curves import Family, base_curve, quadratic_twist
 from .frobenius import ap
-from .lseries import algebraic_l_ratio
 
 # T_2 on Manin symbols of a level prime to 2: the Heilbronn matrices
 # (a, b, c, d) of determinant 2 (Merel; Cremona, section 2.4)
@@ -150,7 +152,12 @@ def plus_symbol(fam: Family) -> tuple[list[int], int]:
     """(table, den): phi((c:d)) = table[c N + d] / den for the base curve of
     fam, on every pair (c, d) mod N = fam.level with gcd(c, d, N) = 1.  phi
     is the line of the plus quotient on which T_2 = a_2(E), scaled so that
-    phi((0:1)) = phi({0, oo}) = L(E, 1)/Omega(E)."""
+    phi((0:1)) = phi({0, oo}) = L(E, 1)/Omega(E).  At squarefree N, (c:d) is
+    the path from cusp class gcd(d, N) to class gcd(c, N), and (k:1) is
+    {0, 1/k}, from class 1 to class k; so the cycles x - (gcd(c, N):1) +
+    (gcd(d, N):1) span H_1(X_0(N), Z).  As E = X_0(N) has discriminant > 0,
+    the gcd of phi on them is omega_1 = Omega/2, so den = 2 gcd, with the sign
+    that makes L(E, 1)/Omega(E) positive by convention."""
     E = base_curve(fam)
     q = PlusQuotient(fam.level)
     a2 = ap(E, 2)
@@ -158,15 +165,16 @@ def plus_symbol(fam: Family) -> tuple[list[int], int]:
     if len(line) != 1:
         raise ArithmeticError(f"ker(T_2 - {a2}) at level {q.N} has dimension {len(line)}")
     (phi,) = line
-    at_zero = q.value(phi, q.index[0, 1])
-    if at_zero == 0:
-        raise ArithmeticError(f"the plus symbol at level {q.N} vanishes on {{0, oo}}")
-    ratio = algebraic_l_ratio(E).ratio
     N = q.N
     table = [0] * (N * N)
     for (c, d), x in q.index.items():
-        table[c * N + d] = q.value(phi, x) * ratio.numerator
-    return table, at_zero * ratio.denominator
+        table[c * N + d] = q.value(phi, x)
+    at_zero = table[1]
+    if at_zero == 0:
+        raise ArithmeticError(f"the plus symbol at level {N} vanishes on {{0, oo}}")
+    cusp = {k: table[k % N * N + 1] for k in range(1, N + 1) if N % k == 0}  # phi((k:1)); (N:1) = (0:1)
+    lattice = math.gcd(*(table[c * N + d] - cusp[math.gcd(c, N)] + cusp[math.gcd(d, N)] for c, d in q.reps))
+    return table, 2 * lattice * (1 if at_zero > 0 else -1)
 
 
 def _symbol_to(a: int, b: int, table: list[int], N: int) -> int:

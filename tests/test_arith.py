@@ -11,6 +11,7 @@ from twistcheck.arith import (
     factorize,
     integer_roots,
     iroot,
+    is_p_adic_unit,
     is_prime,
     is_squarefree,
     kronecker,
@@ -23,7 +24,6 @@ from twistcheck.arith import (
     sieve_primes,
     valuation,
 )
-from twistcheck.lseries import is_p_adic_unit
 
 
 def brute_legendre(a: int, p: int) -> int:

@@ -256,6 +256,12 @@ class TestCli:
         assert (rc, out) == (1, "")
         assert err == "error: series needs 1142411 terms, cap is 1000000\n"
 
+    def test_series_cap_at_a_huge_conductor(self, capsys):
+        # N ~ 10^38, where exp(-c) rounds to 1 in the series length
+        rc, out, err = run_cli(capsys, ["lratio", "--curve=0,0,0,-3000000040000000133,0"])
+        assert (rc, out) == (1, "")
+        assert re.fullmatch(r"error: series needs \d+ terms, cap is 1000000\n", err)
+
     def test_certify_past_the_series_cap(self, capsys):
         # the family commands read L/Omega from modular symbols, not the series
         rc, out, _ = run_cli(capsys, ["certify", "--family", "15", "--d", "9998", "--p", "7", "--json"])

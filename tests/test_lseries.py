@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from conftest import random_curves, scale_up
 from twistcheck import lseries
+from twistcheck.arith import is_p_adic_unit
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import an_coefficients, ap
 from twistcheck.local_invariants import conductor
@@ -17,7 +18,6 @@ from twistcheck.lseries import (
     _kahan_series,
     _series_length,
     algebraic_l_ratio,
-    is_p_adic_unit,
     period_of_model,
 )
 from twistcheck.tabledata import TABLE1, TABLE2
