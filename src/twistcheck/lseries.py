@@ -121,7 +121,8 @@ def _series_length(N: int) -> int:
     """Smallest n_max whose tail majorant 2 q^(M+1)/(1-q) at t = 1 / _SAMPLE_T is < _TAIL_EPS."""
     c = 2.0 * math.pi * (1.0 / _SAMPLE_T) / math.sqrt(N)
     q = math.exp(-c)
-    # past N ~ 9e33, q rounds to 1 and only expm1 keeps 1 - q
+    # 1 - q fixes n below the cap (expm1 alone moves it by one at 179 N there,
+    # the first 2028697329); past N ~ 9e33 q rounds to 1 and expm1 keeps 1 - q
     n = math.ceil((math.log(2.0) - math.log(_TAIL_EPS * (1.0 - q or -math.expm1(-c)))) / c)
     return max(n, 20)
 

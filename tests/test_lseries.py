@@ -203,6 +203,15 @@ class TestSeriesCap:
         with pytest.raises(PrecisionExhausted, match="series needs 1142411 terms, cap is 1000000"):
             algebraic_l_ratio(quadratic_twist(x15, 9998))
 
+    @pytest.mark.parametrize("N,n", [(2028697329, 321586), (2779596633, 378010)])
+    def test_length_below_the_cap_uses_one_minus_q(self, N, n):
+        # -expm1(-c) in place of 1 - exp(-c) would give n - 1 and n + 1 here
+        assert _series_length(N) == n
+
+    def test_length_past_float_one(self):
+        # exp(-c) rounds to 1.0 here; the length stays finite and past the cap
+        assert _series_length(10**38) > lseries.NMAX_CAP
+
 
 class TestPAdicUnit:
     @pytest.mark.parametrize(
