@@ -1,8 +1,10 @@
 """Exact integer and rational arithmetic, and every polynomial root finder.
 
-Factorization is trial division below 2**10, then Miller-Rabin (deterministic
-below 3.3 * 10**24) on the cofactor; a composite cofactor r**k becomes k
-copies of r, any other is split by Pollard-Brent rho (Brent, BIT 20, 1980).
+Primality is Miller-Rabin on the fewest bases proven for n's size (OEIS
+A014233), deterministic below 3.317 * 10**24, and Baillie-PSW above it, to
+which no counterexample is known.  Factorization is trial division below 2**10,
+then that test on the cofactor; a composite cofactor r**k becomes k copies of
+r, any other is split by Pollard-Brent rho (Brent, BIT 20, 1980).
 
 Roots: real roots of a cubic in closed form, Newton-polished in float64;
 integer roots of a squarefree polynomial by p-adic Newton lifting from one
@@ -30,20 +32,31 @@ class NotSquarefree(ValueError):
 # ---------------------------------------------------------------------------
 # primes
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_ROWS = (  # (bound, k): the first k bases prove primality below bound
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),  # Sorenson-Webster, Math. Comp. 86, 2017
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _MR_BASES:  # settles every n < 43**2
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    # above the last row: Baillie-PSW, base 2 and then a Lucas test
+    for a in _MR_BASES[: next((k for bound, k in _MR_ROWS if n < bound), 1)]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -53,7 +66,30 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_ROWS[-1][0] or _strong_lucas_probable_prime(n)
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 41 (Baillie-Wagstaff, Math. Comp. 35, 1980):
+    P = 1, Q = (1 - D)/4, D the first of 5, -7, 9, ... with (D/n) = -1."""
+    if math.isqrt(n) ** 2 == n:  # no such D exists
+        return False
+    D = next(D for D in (k if k % 4 == 1 else -k for k in itertools.count(5, 2)) if kronecker(D, n) != 1)
+    Q = (1 - D) // 4
+    if math.gcd(n, D * Q) != 1:
+        return False
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2**s with d odd
+    U, V, Qk = 1, 1, Q  # U_k, V_k, Q**k mod n for k the leading bits of d
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":  # k + 1; halving mod odd n adds n to an odd value
+            U, V = (U + V) % n, (D * U + V) % n
+            U, V, Qk = (U + n * (U & 1)) // 2, (V + n * (V & 1)) // 2, Qk * Q % n
+    for _ in range(s):  # U_d = 0, or V_(d 2**r) = 0 for some r < s
+        if U == 0 or V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 @lru_cache(maxsize=8)
@@ -200,7 +236,6 @@ def valuation(q, p: int) -> int:
 
 def is_p_adic_unit(q, p: int) -> bool:
     """False at zero; otherwise true iff v_p(q) = 0."""
-    q = Fraction(q)
     return q != 0 and valuation(q, p) == 0
 
 

@@ -2,9 +2,10 @@
 
 A certificate is one list of conditions, evaluated lazily and cut after the
 first failure that is not undetermined, so no evidence is gathered past it.
-check_theorem evaluates the headline hypothesis: the structural conditions on
-d and p (stated once, in _structural) and the p-adic unit condition on
-L(E_d,1)/Omega.  deep_certificate additionally verifies the per-prime
+_shallow evaluates the headline hypothesis once per call: the structural
+conditions on d and p (stated once, in _structural; those on d alone are
+cached per (family, d)) and the p-adic unit condition on L(E_d,1)/Omega.
+check_theorem returns it; deep_certificate additionally verifies the per-prime
 conditions that the headline statement rests on, branching on ordinary vs
 supersingular reduction.  Failures are recorded as data, never raised.
 """
@@ -13,11 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Any, NamedTuple
 
-from .arith import is_p_adic_unit, is_prime, is_squarefree, prime_divisors, valuation
+from .arith import is_prime, is_squarefree, prime_divisors, valuation
 from .curves import CurveModel, Family, base_curve, quadratic_twist
-from .frobenius import ap, is_ordinary
+from .frobenius import ap
 from .local_invariants import conductor, tamagawa_product
 from .modsym import family_l_ratio
 from .tabledata import TABLE1, TABLE2, TableRow, factors_to_str
@@ -66,18 +68,24 @@ def _verdict(conditions) -> str:
     return DOES_NOT_APPLY
 
 
+@cache
 def _twist(fam: Family, d: int) -> CurveModel:
     return quadratic_twist(base_curve(fam), d)
+
+
+@cache
+def _d_conditions(fam: Family, d: int) -> tuple[Condition, ...]:
+    """The structural conditions on d alone, cut; shared, as their evidence is the int d."""
+    squarefree = Condition("d_squarefree_gt_1", "structural", d, d > 1 and is_squarefree(d))
+    if fam is Family.X15:
+        return _evaluate((squarefree, Condition("d_not_5", "structural", d, d != 5)))
+    return _evaluate((squarefree, Condition("d_prime_to_7", "structural", d, d % 7 != 0)))
 
 
 def _structural(fam: Family, d: int, p: int | None = None):
     """The structural conditions in order: on d, then on p unless p is None
     (the coprimality branch then reads gcd(d, 3) and gcd(d, q))."""
-    yield Condition("d_squarefree_gt_1", "structural", d, d > 1 and is_squarefree(d))
-    if fam is Family.X15:
-        yield Condition("d_not_5", "structural", d, d != 5)
-    else:
-        yield Condition("d_prime_to_7", "structural", d, d % 7 != 0)
+    yield from _d_conditions(fam, d)
     q = fam.odd_level_primes[1]
     m = 1 if p is None else p
     g3, gq = math.gcd(d, 3 * m), math.gcd(d, q * m)
@@ -93,15 +101,15 @@ def _structural(fam: Family, d: int, p: int | None = None):
         )
 
 
-def check_theorem(fam, d: int, p: int) -> Certificate:
-    """Evaluate the headline hypothesis list; failures are data, not errors."""
-    fam = Family.parse(fam)
+def _shallow(fam: Family, d: int, p: int) -> tuple[tuple[Condition, ...], dict]:
+    """The headline hypothesis list, evaluated and cut, and its extras."""
     extras: dict = {}
 
     def conditions():
         yield from _structural(fam, d, p)
         ratio = family_l_ratio(fam, d)
-        unit = is_p_adic_unit(ratio, p)
+        v = None if ratio == 0 else valuation(ratio, p)
+        unit = v == 0
 
         # cross-check against the equivalent reformulation of the hypothesis
         # list (and, for the level-21 family, the variant as printed, which
@@ -115,27 +123,29 @@ def check_theorem(fam, d: int, p: int) -> Certificate:
         if fam is Family.X21:
             printed = variant(2 * 3 * 5)
             extras["printed_variant"] = {"verdict": printed, "agrees": printed == unit}
-        yield Condition(
-            "l_ratio_p_unit",
-            "analytic",
-            {"ratio": str(ratio), "valuation": None if ratio == 0 else valuation(ratio, p)},
-            unit,
-        )
+        yield Condition("l_ratio_p_unit", "analytic", {"ratio": str(ratio), "valuation": v}, unit)
 
-    conds = _evaluate(conditions())
+    return _evaluate(conditions()), extras
+
+
+def check_theorem(fam, d: int, p: int) -> Certificate:
+    """Evaluate the headline hypothesis list; failures are data, not errors."""
+    fam = Family.parse(fam)
+    conds, extras = _shallow(fam, d, p)
     return Certificate(fam, d, p, conds, _verdict(conds), "n/a", extras)
 
 
 def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certificate:
     """Per-prime certificate behind the headline conditions.
 
-    Requires the shallow certificate to pass; otherwise that certificate is
-    returned unchanged (DoesNotApply with the shallow failure recorded).
+    Requires the headline list to pass; otherwise the result is check_theorem's
+    certificate (DoesNotApply with the shallow failure recorded).
     """
     fam = Family.parse(fam)
-    shallow = check_theorem(fam, d, p)
-    if shallow.verdict != APPLIES:
-        return shallow
+    shallow, extras = _shallow(fam, d, p)
+    verdict = _verdict(shallow)
+    if verdict != APPLIES:
+        return Certificate(fam, d, p, shallow, verdict, "n/a", extras)
 
     Y = _twist(fam, d)
     rep = conductor(Y)
@@ -144,8 +154,9 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
             f"internal error: shallow conditions passed but {p} divides N = {rep.N}"
         )
     a_p = ap(Y, p)
-    path = is_ordinary(Y, p)
-    ratio = family_l_ratio(fam, d)
+    # p >= 5 is a good prime here, so a_p mod p alone tells the two paths apart
+    path = "ordinary" if a_p % p else "supersingular"
+    unit = shallow[-1]
 
     def conditions():
         yield Condition("good_reduction_at_p", "local", {"N": rep.N}, True)
@@ -163,8 +174,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
         )
         if path == "ordinary":
             yield _ramified_multiplicative_condition(rep, p)
-        unit = is_p_adic_unit(ratio, p)
-        yield Condition("l_ratio_p_unit", "analytic", {"ratio": str(ratio)}, unit)
+        yield Condition("l_ratio_p_unit", "analytic", {"ratio": unit.evidence["ratio"]}, unit.passed)
         if path == "ordinary":
             count = p + 1 - a_p
             yield Condition("reduction_count_prime_to_p", "local", {"count": count}, count % p != 0)
@@ -180,7 +190,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
             yield Condition("tamagawa_prime_to_p", "local", {"product": prod}, prod % p != 0)
 
     conds = _evaluate(conditions())
-    return Certificate(fam, d, p, conds, _verdict(conds), path, dict(shallow.extras))
+    return Certificate(fam, d, p, conds, _verdict(conds), path, extras)
 
 
 def _ramified_multiplicative_condition(rep, p: int) -> Condition:

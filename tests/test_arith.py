@@ -64,6 +64,9 @@ class TestFactorize:
             ((10**11 + 3) ** 6, [(10**11 + 3, 6)]),
             (2**3 * (10**16 + 61) ** 6, [(2, 3), (10**16 + 61, 6)]),
             (((10**9 + 7) * (10**9 + 9)) ** 2, [(10**9 + 7, 2), (10**9 + 9, 2)]),
+            # strong pseudoprimes to every base 2..37 and 2..41
+            (318665857834031151167461, [(399165290221, 1), (798330580441, 1)]),
+            (3317044064679887385961981, [(1287836182261, 1), (2575672364521, 1)]),
         ],
     )
     def test_large_cofactors(self, n, expect):
@@ -81,6 +84,54 @@ class TestFactorize:
             prod *= p**e
             last = p
         assert prod == n
+
+
+# OEIS A014233 with the number of leading prime bases its row proves: each
+# bound is the least strong pseudoprime to all of those bases
+A014233_ROWS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Independent oracle: one Miller-Rabin round with base a on odd n."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestIsPrime:
+    @pytest.mark.parametrize("n,k", A014233_ROWS)
+    def test_every_row_bound_is_composite(self, n, k):
+        bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41][:k]
+        assert all(strong_probable_prime(n, a) for a in bases)  # each bound fools its row
+        assert not is_prime(n)
+
+    def test_agrees_with_the_sieve(self):
+        limit = 1_400_000  # past the second row bound
+        primes = set(sieve_primes(limit))
+        assert [n for n in range(limit) if is_prime(n) != (n in primes)] == []
+
+    @pytest.mark.parametrize("e,prime", [(61, True), (67, False), (89, True), (101, False), (127, True)])
+    def test_mersenne_numbers(self, e, prime):
+        assert is_prime(2**e - 1) is prime
 
 
 class TestSquarefree:

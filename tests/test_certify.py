@@ -118,6 +118,33 @@ class TestDeepCertificate:
         cert = certify.deep_certificate("15", 2, 7)
         assert cert.verdict == UNDETERMINED_VERDICT
 
+    @pytest.mark.parametrize("fam", ["15", "21"])
+    def test_agrees_with_check_theorem(self, fam):
+        for d in range(-3, 61):
+            for p in range(-2, 61):
+                shallow, deep = check_theorem(fam, d, p), deep_certificate(fam, d, p)
+                if shallow.verdict == APPLIES:
+                    assert deep.extras == shallow.extras, (d, p)
+                else:
+                    assert deep == shallow, (d, p)
+
+    def test_squarefree_checked_once_per_twist(self, monkeypatch):
+        from twistcheck import certify, curves
+
+        calls = {"certify": 0, "curves": 0}
+        for name, module in (("certify", certify), ("curves", curves)):
+
+            def counted(n, name=name, original=module.is_squarefree):
+                calls[name] += 1
+                return original(n)
+
+            monkeypatch.setattr(module, "is_squarefree", counted)
+        certify._d_conditions.cache_clear()
+        certify._twist.cache_clear()
+        certs = [deep_certificate("15", 2, p) for p in sieve_primes(100)]
+        assert sum(c.verdict == APPLIES for c in certs) > 0  # the twist was built
+        assert calls == {"certify": 1, "curves": 1}
+
     def test_sweep_nonzero_rows(self):
         for fam, rows in (("15", TABLE1), ("21", TABLE2)):
             for row in rows:

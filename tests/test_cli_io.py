@@ -195,6 +195,23 @@ class TestCli:
         assert obj["verdict"] == "Applies"
         assert obj["path"] in ("ordinary", "supersingular")
 
+    def test_invariants_split_a_strong_pseudoprime(self, capsys):
+        # 318665857834031151167461 = 399165290221 * 798330580441 passes
+        # Miller-Rabin for every base 2..37
+        rc, out, _ = run_cli(capsys, ["invariants", "--curve=0,0,0,-318665857834031151167461,0", "--json"])
+        assert rc == 0
+        obj = json.loads(out)
+        assert list(obj["tamagawa"]) == ["2", "399165290221", "798330580441"]
+        assert obj["tamagawa_product"] == 8
+
+    def test_deep_certify_at_a_strong_pseudoprime(self, capsys):
+        argv = ["deep-certify", "--family", "15", "--d", "2", "--p", "318665857834031151167461", "--json"]
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["verdict"] == "DoesNotApply"
+        assert [c["name"] for c in obj["conditions"] if not c["passed"]] == ["p_prime_outside_base"]
+
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(capsys, ["bogus"])[0] == 2
         assert run_cli(capsys, [])[0] == 2
