@@ -4,7 +4,6 @@ from .arith import (
     NotSquarefree,
     ZeroInput,
     factorize,
-    is_p_adic_unit,
     is_squarefree,
     kronecker,
     quad_field_data,
@@ -25,7 +24,7 @@ from .curves import (
     minimal_model,
     quadratic_twist,
 )
-from .frobenius import BadReduction, SmallPrime, an_coefficients, ap, is_ordinary
+from .frobenius import an_coefficients, ap
 from .local_invariants import (
     ConductorReport,
     LocalData,

@@ -23,7 +23,7 @@ from .frobenius import ap
 from .local_invariants import conductor, tamagawa_product
 from .modsym import family_l_ratio
 from .tabledata import TABLE1, TABLE2, TableRow, factors_to_str
-from .torsion_galois import SURJECTIVE, UNDETERMINED, mod_l_image, torsion_subgroup
+from .torsion_galois import SURJECTIVE, UNDETERMINED, check_sample_bound, mod_l_image, torsion_subgroup
 
 APPLIES = "Applies"
 DOES_NOT_APPLY = "DoesNotApply"
@@ -142,6 +142,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
     certificate (DoesNotApply with the shallow failure recorded).
     """
     fam = Family.parse(fam)
+    check_sample_bound(sample_bound)
     shallow, extras = _shallow(fam, d, p)
     verdict = _verdict(shallow)
     if verdict != APPLIES:

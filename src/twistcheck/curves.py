@@ -214,12 +214,6 @@ def minimal_model(E: CurveModel) -> CurveModel:
     raise RuntimeError(f"no admissible rescaling found for {E}")
 
 
-def is_minimal_at(E: CurveModel, p: int) -> bool:
-    """True iff E is already minimal at p."""
-    M = minimal_model(E)  # raises SingularCurve on degenerate input
-    return valuation(E.discriminant, p) == valuation(M.discriminant, p)
-
-
 # ---------------------------------------------------------------------------
 # base curves and twists
 

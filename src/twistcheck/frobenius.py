@@ -1,4 +1,4 @@
-"""Frobenius traces, Dirichlet coefficients and the ordinary/supersingular split.
+"""Frobenius traces and Dirichlet coefficients.
 
 #E(F_p) is counted per curve and prime, in one of two ways.  Below BSGS_MIN_P
 it is an exact O(p) character sum over x in F_p with a table of quadratic
@@ -17,11 +17,12 @@ pass would cost tens of milliseconds a prime.
 
 ap returns the trace as an int, at a bad prime by the reduction type that
 Tate's algorithm finds, and memoizes it for its direct callers.
-an_coefficients gets a_n by one Hecke recursion from traces counted without
-that memo, in interleaved shares of the primes, one process per available
-CPU: share 0 in the calling process, the others in forked children that
-send their traces back over a pipe.  A share whose child failed is counted
-again in the calling process, so an error surfaces as in one process.
+an_coefficients gets a_n by one Hecke recursion from the traces at the bad
+primes, read from the conductor, and at the good primes, counted without
+that memo in interleaved shares, one process per available CPU: share 0 in
+the calling process, the others in forked children that send their traces
+back over a pipe.  A share whose child failed is counted again in the
+calling process, so an error surfaces as in one process.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import sys
 from functools import cache
 
 from .arith import integer_roots, smallest_prime_factors
-from .curves import CurveModel, is_minimal_at, minimal_model
-from .local_invariants import ADDITIVE, NONSPLIT, SPLIT, NotMinimalAtP, conductor
+from .curves import CurveModel, minimal_model
+from .local_invariants import ADDITIVE, NONSPLIT, SPLIT, conductor, tate_local
 
 # BSGS needs p > 229: only there does Mestre's theorem promise that one trace
 # is left.
@@ -49,14 +50,6 @@ _BAD_TRACE = {SPLIT: 1, NONSPLIT: -1, ADDITIVE: 0}
 # one process; at 430 primes (n_max 3000) the split gained under a tenth.
 MIN_SHARE = 300
 MAX_SHARES = 8
-
-
-class BadReduction(ValueError):
-    """Asked a good-reduction question at a bad prime."""
-
-
-class SmallPrime(ValueError):
-    """The ordinary/supersingular test is only made for p >= 5."""
 
 
 def count_points(E: CurveModel, p: int) -> int:
@@ -261,18 +254,10 @@ def _trace_bsgs(A: int, B: int, p: int, m: int, r: int) -> int:
 @cache
 def ap(E: CurveModel, p: int) -> int:
     """Trace of Frobenius at p (E must be minimal at p); at a bad prime 1, -1
-    or 0 by the reduction type (split, nonsplit, additive) of conductor(E)."""
+    or 0 by the reduction type (split, nonsplit, additive) tate_local finds."""
     if E.discriminant % p:  # a model is minimal at p when p does not divide disc
         return p + 1 - count_points(E, p)
-    if not is_minimal_at(E, p):
-        raise NotMinimalAtP(f"model {E} is not minimal at {p}")
-    (kind,) = [ld.kind for ld in conductor(E).local_data if ld.p == p]
-    return _BAD_TRACE[kind]
-
-
-# ap without its memo, for the series: its traces are read once, and those of
-# a forked share would be lost with the child anyway
-_trace = ap.__wrapped__
+    return _BAD_TRACE[tate_local(E, p).kind]
 
 
 def _share_count(primes: int) -> int:
@@ -291,15 +276,15 @@ def _send_traces(M: CurveModel, share: list[int], w: int) -> None:
     code = 1
     try:
         with open(w, "wb") as pipe:
-            pipe.write(marshal.dumps([_trace(M, p) for p in share]))
+            pipe.write(marshal.dumps([p + 1 - count_points(M, p) for p in share]))
         code = 0
     finally:
         os._exit(code)
 
 
 def _traces(M: CurveModel, primes: list[int]) -> list[int]:
-    """[_trace(M, p) for p in primes], share primes[i::k] counted by child i
-    for 0 < i < k."""
+    """[p + 1 - count_points(M, p) for p in primes], share primes[i::k]
+    counted by child i for 0 < i < k."""
     k = _share_count(len(primes))
     children = []  # (share, pid, read end of its pipe)
     sent = {}
@@ -317,7 +302,7 @@ def _traces(M: CurveModel, primes: list[int]) -> list[int]:
                 os.close(w)
             children.append((i, pid, r))
         traces = [0] * len(primes)
-        traces[::k] = [_trace(M, p) for p in primes[::k]]
+        traces[::k] = [p + 1 - count_points(M, p) for p in primes[::k]]
     finally:
         for i, pid, r in children:
             try:
@@ -330,7 +315,7 @@ def _traces(M: CurveModel, primes: list[int]) -> list[int]:
     for i in range(1, k):
         share = primes[i::k]
         got = sent.get(i, ())
-        traces[i::k] = got if len(got) == len(share) else [_trace(M, p) for p in share]
+        traces[i::k] = got if len(got) == len(share) else [p + 1 - count_points(M, p) for p in share]
     return traces
 
 
@@ -342,22 +327,26 @@ def an_coefficients(E: CurveModel, n_max: int) -> list[int]:
     a_n = a_p a_m - p a_{m/p}, the second term only when p | m and p is good.
     For n = p^k r, p not dividing r, that is a_{p^k} a_r; a_{p^k} = a_p^k at bad p.
 
-    The traces come first, without ap's memo, in k interleaved shares of the
-    primes: k is the number of available CPUs, capped by one share per
-    MIN_SHARE primes and by MAX_SHARES, and 1 without os.fork or beside a
-    second thread.  Share 0 is counted here and each other share by a forked
-    child; a share whose child failed or sent a short result is counted again
-    here, so an error is raised as at k = 1.  No child outlives the call.
+    The traces come first: at a bad prime 1, -1 or 0 by the reduction type in
+    conductor(M), at the good primes counted without ap's memo in k
+    interleaved shares.  k is the number of available CPUs, capped by one
+    share per MIN_SHARE primes and by MAX_SHARES, and 1 without os.fork or
+    beside a second thread.  Share 0 is counted here and each other share by
+    a forked child; a share whose child failed or sent a short result is
+    counted again here, so an error is raised as at k = 1.  No child
+    outlives the call.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     M = minimal_model(E)
-    bad = {ld.p for ld in conductor(M).local_data}
+    bad = {ld.p: _BAD_TRACE[ld.kind] for ld in conductor(M).local_data if ld.p <= n_max}
     a = [0] * (n_max + 1)
     a[1] = 1
     spf = smallest_prime_factors(n_max)
-    primes = [n for n in range(2, n_max + 1) if spf[n] == n]
-    for p, t in zip(primes, _traces(M, primes)):
+    good = [n for n in range(2, n_max + 1) if spf[n] == n and n not in bad]
+    for p, t in zip(good, _traces(M, good)):
+        a[p] = t
+    for p, t in bad.items():
         a[p] = t
     for n in range(2, n_max + 1):
         p = spf[n]
@@ -369,13 +358,3 @@ def an_coefficients(E: CurveModel, n_max: int) -> list[int]:
         else:
             a[n] = a[p] * a[m] - p * a[m // p]
     return a
-
-
-def is_ordinary(E: CurveModel, p: int) -> str:
-    """'ordinary' or 'supersingular' at a good prime p >= 5."""
-    if p < 5:
-        raise SmallPrime("classification requires p >= 5")
-    M = minimal_model(E)
-    if M.discriminant % p == 0:
-        raise BadReduction(f"{p} divides the conductor")
-    return "ordinary" if ap(M, p) % p else "supersingular"

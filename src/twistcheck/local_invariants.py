@@ -12,6 +12,7 @@ translations are done exhaustively.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ from .arith import (
 )
 from .curves import (
     CurveModel,
-    is_minimal_at,
+    SingularCurve,
     minimal_model,
     rst,
     weierstrass_invariants,
@@ -215,16 +216,17 @@ def _tate_minimal(E: CurveModel, p: int) -> LocalData:
         return LocalData(p, "III*", n - 7, 2, ADDITIVE, n)
     if a6 % p**6:
         return LocalData(p, "II*", n - 8, 1, ADDITIVE, n)
-    raise NotMinimalAtP(f"model is not minimal at {p}")
+    raise NotMinimalAtP(f"model {E} is not minimal at {p}")
 
 
 def tate_local(E: CurveModel, p: int) -> LocalData:
     """Kodaira type, conductor exponent and Tamagawa number of E at p.
 
-    E must be minimal at p; non-minimal input is rejected, not fixed up.
+    E must be minimal at p.  The algorithm rejects any other model itself: it
+    reaches NotMinimalAtP exactly then (Silverman, GTM 151, IV.9).
     """
-    if not is_minimal_at(E, p):
-        raise NotMinimalAtP(f"model {E} is not minimal at {p}")
+    if E.discriminant == 0:
+        raise SingularCurve(f"singular model {E}")
     ld = _tate_minimal(E, p)
     if ld.kind == ADDITIVE:
         if ld.f < 2 or (p >= 5 and ld.f > 2) or (p == 3 and ld.f > 5) or (p == 2 and ld.f > 8):
@@ -236,21 +238,13 @@ def tate_local(E: CurveModel, p: int) -> LocalData:
 def conductor(E: CurveModel) -> ConductorReport:
     """Global conductor with the per-prime breakdown (minimalizes internally)."""
     M = minimal_model(E)
-    locals_: list[LocalData] = []
-    N = 1
-    for p, _ in factorize(M.discriminant):
-        ld = tate_local(M, p)
-        locals_.append(ld)
-        N *= p**ld.f
-    fac = tuple((ld.p, ld.f) for ld in locals_ if ld.f > 0)
-    return ConductorReport(N, fac, tuple(locals_))
+    local_data = tuple(tate_local(M, p) for p, _ in factorize(M.discriminant))
+    fac = tuple((ld.p, ld.f) for ld in local_data if ld.f > 0)
+    return ConductorReport(math.prod(p**f for p, f in fac), fac, local_data)
 
 
 def tamagawa_product(E: CurveModel) -> int:
-    out = 1
-    for ld in conductor(E).local_data:
-        out *= ld.c
-    return out
+    return math.prod(ld.c for ld in conductor(E).local_data)
 
 
 def twisted_conductor_closed_form(N_E: int, d: int) -> tuple[tuple[int, int], ...]:

@@ -50,6 +50,10 @@ from .local_invariants import conductor
 SURJECTIVE = "Surjective"
 UNDETERMINED = "Undetermined"
 
+# mod_l_image sieves every prime below sample_bound first: sieve_primes(10**7)
+# took 0.5 s and 51 MB peak on a 2-CPU Xeon, 10**6 0.07 s and 19 MB
+SAMPLE_BOUND_MIN, SAMPLE_BOUND_MAX = 100, 10**7
+
 # Mazur: the fifteen possible rational torsion structures.
 _MAZUR = {(): 1} | {(n,): n for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)} | {
     (2, 2 * m): 4 * m for m in (1, 2, 3, 4)
@@ -148,8 +152,7 @@ def mod_l_image(E: CurveModel, l: int, sample_bound: int = 10_000) -> GaloisImag
     """
     if l < 3 or not is_prime(l):
         raise InvalidL(f"need an odd prime l >= 3, got {l}")
-    if sample_bound < 100:
-        raise ValueError("sample_bound must be at least 100")
+    check_sample_bound(sample_bound)
     M = minimal_model(E)
     N = conductor(M).N
     if l == 3:
@@ -178,6 +181,11 @@ def mod_l_image(E: CurveModel, l: int, sample_bound: int = 10_000) -> GaloisImag
     witnesses = tuple((k, v) for k, v in need.items() if v is not None)
     verdict = SURJECTIVE if len(witnesses) == 3 else UNDETERMINED
     return GaloisImageVerdict(l, verdict, witnesses, sample_bound)
+
+
+def check_sample_bound(sample_bound: int) -> None:
+    if not SAMPLE_BOUND_MIN <= sample_bound <= SAMPLE_BOUND_MAX:
+        raise ValueError(f"sample_bound must be between {SAMPLE_BOUND_MIN} and {SAMPLE_BOUND_MAX}")
 
 
 def _mod3_image(M: CurveModel, N: int, sample_bound: int) -> GaloisImageVerdict:

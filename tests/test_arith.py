@@ -11,7 +11,6 @@ from twistcheck.arith import (
     factorize,
     integer_roots,
     iroot,
-    is_p_adic_unit,
     is_prime,
     is_squarefree,
     kronecker,
@@ -156,10 +155,6 @@ class TestValuation:
     def test_p_below_2_rejected(self, q, p):
         with pytest.raises(ValueError, match="p >= 2"):
             valuation(q, p)
-
-    def test_is_p_adic_unit_rejects_p_below_2(self):
-        with pytest.raises(ValueError, match="p >= 2"):
-            is_p_adic_unit(2, -1)
 
     @given(
         st.fractions(min_value=Fraction(1, 1000), max_value=1000),

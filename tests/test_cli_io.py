@@ -212,6 +212,16 @@ class TestCli:
         assert obj["verdict"] == "DoesNotApply"
         assert [c["name"] for c in obj["conditions"] if not c["passed"]] == ["p_prime_outside_base"]
 
+    @pytest.mark.parametrize("bound", ["5", "100000000000"])
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_sample_bound_out_of_range(self, capsys, d, bound):
+        # refused before the headline list: d = 2 applies at p = 7 and 11, d = 3 does not
+        for p in ("7", "11"):
+            argv = ["deep-certify", "--family", "15", "--d", d, "--p", p, "--sample-bound", bound]
+            rc, out, err = run_cli(capsys, argv)
+            assert (rc, out) == (1, "")
+            assert err == "error: sample_bound must be between 100 and 10000000\n"
+
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(capsys, ["bogus"])[0] == 2
         assert run_cli(capsys, [])[0] == 2

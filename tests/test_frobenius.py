@@ -14,8 +14,6 @@ from twistcheck.arith import kronecker, prime_divisors, quad_field_data, sieve_p
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import (
     BSGS_MIN_P,
-    BadReduction,
-    SmallPrime,
     _add,
     _mul,
     _solutions,
@@ -24,7 +22,6 @@ from twistcheck.frobenius import (
     an_coefficients,
     ap,
     count_points,
-    is_ordinary,
 )
 from twistcheck.local_invariants import ADDITIVE, GOOD, NONSPLIT, SPLIT, NotMinimalAtP, conductor
 
@@ -178,7 +175,6 @@ class TestBsgs:
         for p in (983, 1303, 4799, 6263, 17231):
             assert exact_count(x15, p) == p + 1
             assert ap(x15, p) == 0
-            assert is_ordinary(x15, p) == "supersingular"
 
     def test_full_rational_two_torsion(self):
         E = CurveModel.from_ainvs((0, 0, 0, -1, 0))  # y^2 = x^3 - x, supersingular at p = 3 mod 4
@@ -431,6 +427,21 @@ class TestAnCoefficients:
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         return forks
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bad_traces_agree_with_ap(self, monkeypatch, k):
+        # the series reads bad primes from conductor(M), ap from tate_local;
+        # each model here has a bad prime in (7, N_SPLIT]
+        curves = [minimal_model(E) for E in random_curves(40, seed=29, coeff_bound=200)]
+        curves = [M for M in curves if any(7 < p <= self.N_SPLIT for p in prime_divisors(M.discriminant))][:8]
+        assert len(curves) == 8
+        if k > 1:
+            forks = self.split_into(monkeypatch, k)
+        for M in curves:
+            a = an_coefficients(M, self.N_SPLIT)
+            for p in sieve_primes(self.N_SPLIT):
+                assert a[p] == ap(M, p), (M, p)
+        assert k == 1 or len(forks) == len(curves)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_every_split_gives_the_one_process_list(self, x15, x21, monkeypatch, k):
         curves = [x15, x21, *(quadratic_twist(x15, d) for d in (-7, 629, 1093))]
@@ -509,24 +520,3 @@ class TestAnCoefficients:
         assert not thread.is_alive()
         monkeypatch.delattr(os, "fork")
         assert an_coefficients(x15, self.N_SPLIT) == want
-
-
-class TestIsOrdinary:
-    def test_smallest_supersingular_prime(self, x15):
-        scan = [
-            p
-            for p in sieve_primes(1000)
-            if p >= 5 and 15 % p != 0 and ap(x15, p) == 0
-        ]
-        assert scan[0] == 7
-        assert is_ordinary(x15, 7) == "supersingular"
-
-    def test_ordinary(self, x15):
-        assert is_ordinary(x15, 11) == "ordinary"
-        assert is_ordinary(x15, 13) == "ordinary"
-
-    def test_errors(self, x15):
-        with pytest.raises(SmallPrime):
-            is_ordinary(x15, 3)
-        with pytest.raises(BadReduction):
-            is_ordinary(x15, 5)

@@ -3,10 +3,11 @@ import time
 
 import pytest
 
-from conftest import random_curves
+from conftest import random_curves, rst_transform, scale_up
 from twistcheck import arith
 from twistcheck.arith import NotSquarefree, factorize, is_prime, is_squarefree, kronecker
-from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
+from twistcheck.curves import CurveModel, SingularCurve, base_curve, minimal_model, quadratic_twist
+from twistcheck.frobenius import ap
 from twistcheck.local_invariants import (
     ADDITIVE,
     GOOD,
@@ -55,6 +56,34 @@ class TestTateLocal:
         E = CurveModel.from_ainvs((0, 0, 0, Fraction(1, 4), 0))  # scaled to (0, 0, 0, 64, 0)
         with pytest.raises(NotMinimalAtP):
             tate_local(E, 2)
+
+    def test_rejects_singular(self):
+        for ainvs in ((0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, -1, 0, 0, 0)):
+            E = CurveModel(*ainvs)
+            assert E.discriminant == 0
+            for p in (2, 3, 5):
+                with pytest.raises(SingularCurve):
+                    tate_local(E, p)
+                with pytest.raises(SingularCurve):
+                    ap(E, p)
+
+    def test_the_algorithm_alone_decides_minimality(self):
+        # a translate of a minimal model is minimal, with the same local data;
+        # scaled by u = p or p^2 it is not minimal at p, and the algorithm
+        # reaches its last step (Silverman, GTM 151, IV.9)
+        rng = random.Random(23)
+        kinds = set()
+        for E in random_curves(300, seed=23, coeff_bound=200):
+            M = minimal_model(E)
+            p = rng.choice((2, 3, 5, 7, 11))
+            T = rst_transform(M, *(rng.randint(-p * p, p * p) for _ in range(3)))
+            assert tate_local(T, p) == tate_local(M, p), (M, T, p)
+            S = scale_up(T, p ** rng.randint(1, 2))
+            for f in (tate_local, ap):
+                with pytest.raises(NotMinimalAtP):
+                    f(S, p)
+            kinds.add(tate_local(M, p).kind)
+        assert kinds == {GOOD, SPLIT, NONSPLIT, ADDITIVE}
 
     def test_local_invariant_consistency(self, x15, x21):
         for E in random_curves(20, seed=3) + [x15, x21]:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from conftest import random_curves, scale_up
 from twistcheck import lseries
-from twistcheck.arith import is_p_adic_unit
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import an_coefficients, ap
 from twistcheck.local_invariants import conductor
@@ -211,18 +210,3 @@ class TestSeriesCap:
     def test_length_past_float_one(self):
         # exp(-c) rounds to 1.0 here; the length stays finite and past the cap
         assert _series_length(10**38) > lseries.NMAX_CAP
-
-
-class TestPAdicUnit:
-    @pytest.mark.parametrize(
-        "q,p,expect",
-        [
-            (Fraction(1, 8), 7, True),
-            (Fraction(16), 2, False),
-            (Fraction(0), 11, False),
-            (Fraction(1, 8), 2, False),
-            (Fraction(3, 5), 3, False),
-        ],
-    )
-    def test_examples(self, q, p, expect):
-        assert is_p_adic_unit(q, p) is expect

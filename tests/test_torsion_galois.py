@@ -20,6 +20,7 @@ from twistcheck.torsion_galois import (
     SURJECTIVE,
     UNDETERMINED,
     InvalidL,
+    check_sample_bound,
     mod_l_image,
     torsion_subgroup,
 )
@@ -296,3 +297,12 @@ class TestModLImage:
     def test_sample_bound_floor(self, x15):
         with pytest.raises(ValueError):
             mod_l_image(x15, 5, 50)
+
+    def test_sample_bound_range(self, x15):
+        check_sample_bound(100)
+        check_sample_bound(10**7)
+        for bound in (99, 10**7 + 1, 10**11):
+            with pytest.raises(ValueError, match="between 100 and 10000000"):
+                check_sample_bound(bound)
+            with pytest.raises(ValueError, match="between 100 and 10000000"):
+                mod_l_image(x15, 5, bound)
