@@ -23,7 +23,7 @@ from .frobenius import ap
 from .local_invariants import conductor, tamagawa_product
 from .modsym import family_l_ratio
 from .tabledata import TABLE1, TABLE2, TableRow, factors_to_str
-from .torsion_galois import SURJECTIVE, UNDETERMINED, check_sample_bound, mod_l_image, torsion_subgroup
+from .torsion_galois import SURJECTIVE, UNDETERMINED, mod_l_image, torsion_subgroup
 
 APPLIES = "Applies"
 DOES_NOT_APPLY = "DoesNotApply"
@@ -135,14 +135,13 @@ def check_theorem(fam, d: int, p: int) -> Certificate:
     return Certificate(fam, d, p, conds, _verdict(conds), "n/a", extras)
 
 
-def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certificate:
+def deep_certificate(fam, d: int, p: int) -> Certificate:
     """Per-prime certificate behind the headline conditions.
 
     Requires the headline list to pass; otherwise the result is check_theorem's
     certificate (DoesNotApply with the shallow failure recorded).
     """
     fam = Family.parse(fam)
-    check_sample_bound(sample_bound)
     shallow, extras = _shallow(fam, d, p)
     verdict = _verdict(shallow)
     if verdict != APPLIES:
@@ -165,7 +164,7 @@ def deep_certificate(fam, d: int, p: int, sample_bound: int = 10_000) -> Certifi
             yield Condition("ordinary_at_p", "local", {"a_p": a_p}, a_p % p != 0)
         else:
             yield Condition("supersingular_trace_zero", "local", {"a_p": a_p}, a_p == 0)
-        image = mod_l_image(Y, p, sample_bound=sample_bound)
+        image = mod_l_image(Y, p)
         yield Condition(
             "mod_p_image_surjective",
             "galois",

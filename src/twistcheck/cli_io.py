@@ -110,8 +110,12 @@ def parse_curve_table(lines):
 
 
 def _resolve_curve(args) -> CurveModel:
-    if getattr(args, "curve", None):
+    if args.curve is not None:
+        if args.family is not None or args.twist is not None:
+            args.usage_error("--curve names the curve alone: give it no --family or --twist")
         return parse_ainvs(args.curve)
+    if args.family is None:
+        args.usage_error("one of --family and --curve is required")
     fam = Family.parse(args.family)
     d = args.twist
     if d is None or d == 1:
@@ -183,10 +187,8 @@ def _cmd_lratio(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.command == "deep-certify":
-        cert = deep_certificate(args.family, args.d, args.p, sample_bound=args.sample_bound)
-    else:
-        cert = check_theorem(args.family, args.d, args.p)
+    certificate = deep_certificate if args.command == "deep-certify" else check_theorem
+    cert = certificate(args.family, args.d, args.p)
     obj = certificate_json_dict(cert)
     lines = [f"{cert.family.value}  d={cert.d}  p={cert.p}  verdict: {cert.verdict}  path: {cert.path}"]
     for c in cert.conditions:
@@ -282,7 +284,6 @@ def _cmd_crosscheck(args) -> int:
 # every option but --json, given only to the subcommands that read it
 _OPTIONS = {
     "strict": (("--strict",), {"action": "store_true", "help": "exit 1 on non-applying certificates"}),
-    "sample_bound": (("--sample-bound",), {"dest": "sample_bound", "type": int, "default": 10_000}),
     "family": (("--family",), {"required": True}),
     "d": (("--d",), {"type": int, "required": True}),
     "p": (("--p",), {"type": int, "required": True}),
@@ -298,7 +299,7 @@ _SUBCOMMANDS = (
     ("invariants", "model invariants, conductor, torsion", _cmd_invariants, _CURVE),
     ("lratio", "L(E,1), period and recognized ratio", _cmd_lratio, _CURVE),
     ("certify", "headline hypothesis certificate", _cmd_certify, _CERTIFY),
-    ("deep-certify", "per-prime certificate (ordinary/supersingular)", _cmd_certify, (*_CERTIFY, "sample_bound")),
+    ("deep-certify", "per-prime certificate (ordinary/supersingular)", _cmd_certify, _CERTIFY),
     ("admissible", "excluded prime set for a twist", _cmd_admissible, ("family", "d")),
     ("table", "reproduce golden table 1 or 2", _cmd_table, ("which",)),
     ("crosscheck", "recompute rows of an external curve table", _cmd_crosscheck, ("file",)),
@@ -318,18 +319,16 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in options:
             flags, kwargs = _OPTIONS[option]
             p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
     return parser
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # a usage error, or --help
+        return 2 if exc.code not in (0, None) else 0
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple
 
 from .arith import real_cubic_roots
@@ -158,12 +157,7 @@ def _l_series(M: CurveModel) -> tuple[float, int, int]:
 
 def algebraic_l_ratio(E: CurveModel) -> LRatioResult:
     """Exactly recognized L(E,1)/Omega (Fraction(0) when the value vanishes)."""
-    # one cache entry per minimal model, however the curve is spelled
-    return _algebraic_l_ratio(minimal_model(E))
-
-
-@cache
-def _algebraic_l_ratio(M: CurveModel) -> LRatioResult:
+    M = minimal_model(E)
     omega = period_of_model(M)
     l1, w, n_max = _l_series(M)
     if w == -1 or abs(l1) < 1e-8 * omega:

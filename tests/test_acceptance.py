@@ -108,7 +108,7 @@ def test_criterion_7_galois_images():
     for tag in ("15", "21"):
         E = base_curve(tag)
         for l in (3, 5, 7, 11, 13):
-            verdict = mod_l_image(E, l, sample_bound=10_000)
+            verdict = mod_l_image(E, l)
             assert verdict.verdict == SURJECTIVE, (tag, l)
     report(7, "mod-l image Surjective for both base curves, l in {3,5,7,11,13}")
 

@@ -1,5 +1,6 @@
-"""No dead API: every top-level function and class of the package is used in
-src/ somewhere other than its own definition and the package's exports."""
+"""No dead API: every top-level function, class and constant of the package
+is used in src/ somewhere other than its own definition and the package's
+exports.  Dunders such as __version__ are exempt."""
 
 import ast
 from pathlib import Path
@@ -25,20 +26,34 @@ def names_in(node: ast.AST) -> set[str]:
     return out
 
 
+def defines(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    names an assignment binds, dunders left out."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {
+            sub.id
+            for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store) and not sub.id.startswith("__")
+        }
+    return set()
+
+
 def test_every_top_level_definition_is_used():
     defined = {}  # name -> module
     used = set()
     for path in sorted(SRC.glob("*.py")):
         body = ast.parse(path.read_text(encoding="utf-8")).body
         for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = path.name
+            defined |= dict.fromkeys(defines(node), path.name)
         if path.name == "__init__.py":
             continue
         for node in body:
             # a definition's own body does not keep it alive, as in a recursion
-            own = getattr(node, "name", None)
-            used |= names_in(node) - {own}
+            used |= names_in(node) - defines(node)
     dead = sorted(f"{module}: {name}" for name, module in defined.items() if name not in used | ALLOWED)
     assert not dead, dead
 

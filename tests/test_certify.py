@@ -111,8 +111,8 @@ class TestDeepCertificate:
         from twistcheck import certify
         from twistcheck.torsion_galois import GaloisImageVerdict
 
-        def fake_image(E, l, sample_bound=10_000):
-            return GaloisImageVerdict(l, "Undetermined", (), sample_bound)
+        def fake_image(E, l):
+            return GaloisImageVerdict(l, "Undetermined", ())
 
         monkeypatch.setattr(certify, "mod_l_image", fake_image)
         cert = certify.deep_certificate("15", 2, 7)

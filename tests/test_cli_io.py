@@ -212,16 +212,6 @@ class TestCli:
         assert obj["verdict"] == "DoesNotApply"
         assert [c["name"] for c in obj["conditions"] if not c["passed"]] == ["p_prime_outside_base"]
 
-    @pytest.mark.parametrize("bound", ["5", "100000000000"])
-    @pytest.mark.parametrize("d", ["2", "3"])
-    def test_sample_bound_out_of_range(self, capsys, d, bound):
-        # refused before the headline list: d = 2 applies at p = 7 and 11, d = 3 does not
-        for p in ("7", "11"):
-            argv = ["deep-certify", "--family", "15", "--d", d, "--p", p, "--sample-bound", bound]
-            rc, out, err = run_cli(capsys, argv)
-            assert (rc, out) == (1, "")
-            assert err == "error: sample_bound must be between 100 and 10000000\n"
-
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(capsys, ["bogus"])[0] == 2
         assert run_cli(capsys, [])[0] == 2
@@ -229,11 +219,28 @@ class TestCli:
 
     def test_options_belong_to_their_subcommand(self, capsys):
         assert run_cli(capsys, ["crosscheck", "--file", "-", "--strict"])[0] == 2
-        # the series cap, the recognition tolerance and the admissible range are fixed
+        # the series cap, the recognition tolerance, the admissible range and
+        # the surjectivity sampling bound are fixed
         for name, argv in MINIMAL_ARGV.items():
             assert run_cli(capsys, [name, *argv, "--nmax-cap", "2000000"])[0] == 2
             assert run_cli(capsys, [name, *argv, "--pmax", "50"])[0] == 2
             assert run_cli(capsys, [name, *argv, "--tolerance", "1e-8"])[0] == 2
+            assert run_cli(capsys, [name, *argv, "--sample-bound", "10000"])[0] == 2
+
+    @pytest.mark.parametrize("command", ["invariants", "lratio"])
+    def test_curve_names_the_curve_alone(self, capsys, command):
+        # the curve is named once: a family or a twist beside --curve would go unread
+        for extra in (["--family", "15"], ["--twist", "5"], ["--d", "5"], ["--family", "21", "--twist", "5"]):
+            rc, out, err = run_cli(capsys, [command, "--curve=1,1,1,-10,-10", *extra])
+            assert (rc, out) == (2, "")
+            assert err.endswith(f"{command}: error: --curve names the curve alone: give it no --family or --twist\n")
+
+    @pytest.mark.parametrize("command", ["invariants", "lratio"])
+    def test_curve_or_family_is_required(self, capsys, command):
+        for extra in ([], ["--twist", "5"]):
+            rc, out, err = run_cli(capsys, [command, *extra])
+            assert (rc, out) == (2, "")
+            assert err.endswith(f"{command}: error: one of --family and --curve is required\n")
 
     def test_minimal_argv_covers_every_subcommand(self):
         assert set(subcommand_parsers()) == set(MINIMAL_ARGV)
@@ -242,7 +249,7 @@ class TestCli:
 
     def test_readme_option_table_matches_the_parser(self, capsys):
         table = readme_option_table()
-        assert {"--strict", "--sample-bound"} <= set(table)
+        assert set(table) == {"--strict"}
         for option, (args, listed) in table.items():
             assert listed and listed <= set(MINIMAL_ARGV), option
             for name, parser in subcommand_parsers().items():

@@ -24,7 +24,7 @@ class TestNoSeriesBehindTheSymbol:
 
         monkeypatch.setattr(lseries, "_l_series", refuse)
         monkeypatch.setattr(lseries, "period_of_model", refuse)
-        for cached in (modsym.plus_symbol, modsym._family_l_ratio, lseries._algebraic_l_ratio):
+        for cached in (modsym.plus_symbol, modsym._family_l_ratio):
             cached.cache_clear()
         for fam, rows in ((Family.X15, TABLE1), (Family.X21, TABLE2)):
             assert [family_l_ratio(fam, r.d) for r in rows] == [r.lratio for r in rows]
