@@ -4,9 +4,9 @@ from .arith import (
     NotSquarefree,
     ZeroInput,
     factorize,
+    fundamental_discriminant,
     is_squarefree,
     kronecker,
-    quad_field_data,
     valuation,
 )
 from .certify import (

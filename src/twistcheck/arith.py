@@ -18,7 +18,6 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 
 class ZeroInput(ValueError):
@@ -268,36 +267,17 @@ def kronecker(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quadratic field data
+# quadratic fields
 
 
-class QuadFieldData(NamedTuple):
-    """Discriminant and character-conductor exponents of Q(sqrt(d)), d > 1 squarefree."""
-
-    d: int
-    D: int
-    c2: int  # exponent of 2 in the conductor of the quadratic character
-
-    def c(self, p: int) -> int:
-        """Conductor exponent of the quadratic character at the prime p."""
-        if p == 2:
-            return self.c2
-        return 1 if self.d % p == 0 else 0
-
-    def ramified_primes(self) -> list[int]:
-        return prime_divisors(self.D)
-
-
-def quad_field_data(d: int) -> QuadFieldData:
+def fundamental_discriminant(d: int) -> int:
+    """The discriminant D of Q(sqrt(d)) for squarefree d > 1: d if d = 1 mod 4,
+    else 4 d.  The character chi_D has conductor exponent v_p(D) at p."""
     if d <= 1:
         raise NotSquarefree(f"need a squarefree integer > 1, got {d}")
     if not is_squarefree(d):
         raise NotSquarefree(f"{d} is not squarefree")
-    if d % 4 == 1:
-        return QuadFieldData(d, d, 0)
-    if d % 4 == 2:
-        return QuadFieldData(d, 4 * d, 3)
-    return QuadFieldData(d, 4 * d, 2)
+    return d if d % 4 == 1 else 4 * d
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from typing import NamedTuple
 from .arith import (
     NotSquarefree,
     factorize,
+    fundamental_discriminant,
     is_squarefree,
     pol_root_count,
-    quad_field_data,
     valuation,
 )
 from .curves import (
@@ -249,16 +249,11 @@ def tamagawa_product(E: CurveModel) -> int:
 
 def twisted_conductor_closed_form(N_E: int, d: int) -> tuple[tuple[int, int], ...]:
     """Conductor factorization of the twist by d of a curve of squarefree
-    conductor N_E: e_p = 2 c_p off N_E; on N_E, e_p = 2 if p | D else 1."""
+    conductor N_E, with D = fundamental_discriminant(d): e_p = 2 v_p(D) off
+    N_E; on N_E, e_p = 2 if p | D else 1."""
     if N_E < 1 or not is_squarefree(N_E):
         raise NotSquarefree(f"conductor {N_E} must be squarefree")
-    qf = quad_field_data(d)
-    exps: dict[int, int] = {}
-    level_primes = [p for p, _ in factorize(N_E)] if N_E > 1 else []
-    for p in level_primes:
-        exps[p] = 2 if qf.D % p == 0 else 1
-    for p in qf.ramified_primes():
-        if p not in exps:
-            exps[p] = 2 * qf.c(p)
-    fac = tuple(sorted((p, e) for p, e in exps.items() if e > 0))
-    return fac
+    exps = {p: 2 * e for p, e in factorize(fundamental_discriminant(d))}
+    for p, _ in factorize(N_E):
+        exps[p] = 2 if p in exps else 1
+    return tuple(sorted(exps.items()))

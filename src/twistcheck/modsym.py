@@ -8,14 +8,17 @@ for Modular Elliptic Curves, ch. 2; Mazur-Tate-Teitelbaum, Invent. Math. 84):
     L(E_d, 1) sqrt(D) / Omega(E) = -sum_{a mod D} chi_D(a) phi({0, a/D}),
 
 where phi is the plus modular symbol of E, scaled so that phi({0, oo}) =
-L(E, 1)/Omega(E).  phi lives on the Manin symbols (c:d) of P^1(Z/N): modulo
-x = -xS, x = x eta and x + xT + xT^2 = 0 they span the plus quotient, and
-phi is the line of it on which T_2 acts by a_2(E).  {0, a/b} is a sum of
-Manin symbols read off the continued fraction of a/b.  The symbol is built
-once per level, on first use.  Its scale needs no series: both base curves
-are X_0(N) (Manin constant 1) with discriminant > 0, so phi takes the values
-omega_1 Z on the integral cycles of X_0(N), and Omega = 2 omega_1 (Manin,
-Izv. 1972; see plus_symbol).
+L(E, 1)/Omega(E).  For both families Omega(E_d) = Omega(E)/sqrt(D) (see
+_family_l_ratio), so the sum is L(E_d, 1)/Omega(E_d) itself.
+
+phi lives on the Manin symbols (c:d) of P^1(Z/N).  The two-term relations
+x = -xS and x = x eta fold them into orbits of four in closed form, on which
+phi kills x + xT + xT^2 = 0 and is the line where T_2 acts by a_2(E).
+{0, a/b} is a sum of Manin symbols read off the continued fraction of a/b.
+The symbol is built once per level, on first use.  Its scale needs no
+series: both base curves are X_0(N) (Manin constant 1) with discriminant
+> 0, so phi takes the values omega_1 Z on the integral cycles of X_0(N), and
+Omega = 2 omega_1 (Manin, Izv. 1972; see plus_symbol).
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .arith import iroot, kronecker, quad_field_data
-from .curves import Family, base_curve, quadratic_twist
+from .arith import fundamental_discriminant, kronecker
+from .curves import Family, base_curve
 from .frobenius import ap
 
 # T_2 on Manin symbols of a level prime to 2: the Heilbronn matrices
@@ -74,106 +77,75 @@ def _nullspace(rows: list[list[int]], n: int) -> list[list[int]]:
     return basis
 
 
-class PlusQuotient:
-    """Manin symbols of level N modulo x = -xS, x = x eta and
-    x + xT + xT^2 = 0, with S = [0 -1; 1 0], eta = [-1 0; 0 1], T = [0 -1; 1 -1].
-
-    The two-term relations fold the symbols into signed classes: coord[x] is
-    (class, sign), or None when x meets its own negative and so is 0.  basis
-    spans the functionals on the classes that kill every three-term relation,
-    the dual of the plus quotient."""
-
-    def __init__(self, N: int) -> None:
-        self.N = N
-        self.reps, self.index = _p1(N)
-        n = len(self.reps)
-        self.coord: list[tuple[int, int] | None] = [None] * n
-        self.n_classes = 0
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            sign = {start: 1}
-            stack = [start]
-            zero = False
-            while stack:
-                x = stack.pop()
-                for y, s in ((self.act(x, 0, -1, 1, 0), -1), (self.act(x, -1, 0, 0, 1), 1)):
-                    if y not in sign:
-                        sign[y] = sign[x] * s
-                        stack.append(y)
-                    elif sign[y] != sign[x] * s:
-                        zero = True
-            for x, s in sign.items():
-                seen[x] = True
-                self.coord[x] = None if zero else (self.n_classes, s)
-            self.n_classes += not zero
-        three_term = [self.vector((x, self.act(x, 0, -1, 1, -1), self.act(x, -1, 1, -1, 0))) for x in range(n)]
-        self.basis = _nullspace(three_term, self.n_classes)
-
-    def act(self, x: int, a: int, b: int, c: int, d: int) -> int:
-        """The symbol (x0:x1) [a b; c d], for a matrix of determinant prime to N."""
-        x0, x1 = self.reps[x]
-        return self.index[(x0 * a + x1 * c) % self.N, (x0 * b + x1 * d) % self.N]
-
-    def vector(self, symbols) -> list[int]:
-        """The sum of these symbols, on the classes."""
-        v = [0] * self.n_classes
-        for x in symbols:
-            if self.coord[x] is not None:
-                k, s = self.coord[x]
-                v[k] += s
-        return v
-
-    def value(self, phi: list[int], x: int) -> int:
-        """phi, a functional on the classes, at the symbol x."""
-        if self.coord[x] is None:
-            return 0
-        k, s = self.coord[x]
-        return s * phi[k]
-
-    def t2_kernel(self, eigenvalue: int) -> list[list[int]]:
-        """A basis of the functionals phi in the span of basis with
-        phi T_2 = eigenvalue phi, for N odd: sum_M phi(x M) over the Heilbronn
-        matrices M of determinant 2 is eigenvalue phi(x) on every symbol x."""
-        rows = []
-        for x in range(len(self.reps)):
-            row = self.vector(self.act(x, *M) for M in _HEILBRONN_2)
-            row = [r - eigenvalue * v for r, v in zip(row, self.vector((x,)))]
-            rows.append([sum(r * b for r, b in zip(row, vec)) for vec in self.basis])
-        return [
-            [sum(c * vec[k] for c, vec in zip(combo, self.basis)) for k in range(self.n_classes)]
-            for combo in _nullspace(rows, len(self.basis))
-        ]
-
-
 @cache
 def plus_symbol(fam: Family) -> tuple[list[int], int]:
     """(table, den): phi((c:d)) = table[c N + d] / den for the base curve of
-    fam, on every pair (c, d) mod N = fam.level with gcd(c, d, N) = 1.  phi
-    is the line of the plus quotient on which T_2 = a_2(E), scaled so that
-    phi((0:1)) = phi({0, oo}) = L(E, 1)/Omega(E).  At squarefree N, (c:d) is
-    the path from cusp class gcd(d, N) to class gcd(c, N), and (k:1) is
-    {0, 1/k}, from class 1 to class k; so the cycles x - (gcd(c, N):1) +
-    (gcd(d, N):1) span H_1(X_0(N), Z).  As E = X_0(N) has discriminant > 0,
-    the gcd of phi on them is omega_1 = Omega/2, so den = 2 gcd, with the sign
-    that makes L(E, 1)/Omega(E) positive by convention."""
-    E = base_curve(fam)
-    q = PlusQuotient(fam.level)
-    a2 = ap(E, 2)
-    line = q.t2_kernel(a2)
+    fam, on every pair (c, d) mod N = fam.level with gcd(c, d, N) = 1.
+
+    phi kills x + xS, x - x eta and x + xT + xT^2, with S = [0 -1; 1 0],
+    eta = [-1 0; 0 1] and T = [0 -1; 1 -1].  As S^2 = -1 fixes every point of
+    P^1(Z/N), eta and S fold each symbol x into the orbit {x, x eta, x S,
+    x eta S}, on which phi has the signs +, +, -, -; phi is 0 on an orbit that
+    meets its own negative.  On the orbits, phi spans the kernel of the
+    three-term relations, and within it the line on which T_2 = a_2(E).
+
+    phi is scaled so that phi((0:1)) = phi({0, oo}) = L(E, 1)/Omega(E).  At
+    squarefree N, (c:d) is the path from cusp class gcd(d, N) to class
+    gcd(c, N), and (k:1) is {0, 1/k}, from class 1 to class k; so the cycles
+    x - (gcd(c, N):1) + (gcd(d, N):1) span H_1(X_0(N), Z).  As E = X_0(N) has
+    discriminant > 0, the gcd of phi on them is omega_1 = Omega/2, so
+    den = 2 gcd, with the sign that makes L(E, 1)/Omega(E) positive by
+    convention."""
+    N = fam.level
+    reps, index = _p1(N)
+
+    def act(x: int, a: int, b: int, c: int, d: int) -> int:
+        """The symbol (x0:x1) [a b; c d], for a matrix of determinant prime to N."""
+        x0, x1 = reps[x]
+        return index[(x0 * a + x1 * c) % N, (x0 * b + x1 * d) % N]
+
+    coord: dict[int, tuple[int, int] | None] = {}  # symbol -> (orbit, sign), None where phi is 0
+    orbits = 0
+    for x in range(len(reps)):
+        if x not in coord:
+            plus = {x, act(x, -1, 0, 0, 1)}
+            minus = {act(y, 0, -1, 1, 0) for y in plus}
+            zero = not plus.isdisjoint(minus)
+            for ys, sign in ((plus, 1), (minus, -1)):
+                coord |= dict.fromkeys(ys, None if zero else (orbits, sign))
+            orbits += not zero
+
+    def vector(symbols) -> list[int]:
+        """The sum of these symbols, on the orbits."""
+        v = [0] * orbits
+        for x in symbols:
+            if coord[x]:
+                k, sign = coord[x]
+                v[k] += sign
+        return v
+
+    basis = _nullspace([vector((x, act(x, 0, -1, 1, -1), act(x, -1, 1, -1, 0))) for x in range(len(reps))], orbits)
+    # phi T_2 = a_2 phi for N odd: sum_M phi(x M) over the Heilbronn matrices
+    # M of determinant 2 is a_2 phi(x) on every symbol x
+    a2 = ap(base_curve(fam), 2)
+    t2 = []
+    for x in range(len(reps)):
+        row = [r - a2 * v for r, v in zip(vector(act(x, *M) for M in _HEILBRONN_2), vector((x,)))]
+        t2.append([sum(r * b for r, b in zip(row, vec)) for vec in basis])
+    line = _nullspace(t2, len(basis))
     if len(line) != 1:
-        raise ArithmeticError(f"ker(T_2 - {a2}) at level {q.N} has dimension {len(line)}")
-    (phi,) = line
-    N = q.N
+        raise ArithmeticError(f"ker(T_2 - {a2}) at level {N} has dimension {len(line)}")
+    phi = [sum(c * vec[k] for c, vec in zip(line[0], basis)) for k in range(orbits)]
     table = [0] * (N * N)
-    for (c, d), x in q.index.items():
-        table[c * N + d] = q.value(phi, x)
+    for (c, d), x in index.items():
+        if coord[x]:
+            k, sign = coord[x]
+            table[c * N + d] = sign * phi[k]
     at_zero = table[1]
     if at_zero == 0:
         raise ArithmeticError(f"the plus symbol at level {N} vanishes on {{0, oo}}")
     cusp = {k: table[k % N * N + 1] for k in range(1, N + 1) if N % k == 0}  # phi((k:1)); (N:1) = (0:1)
-    lattice = math.gcd(*(table[c * N + d] - cusp[math.gcd(c, N)] + cusp[math.gcd(d, N)] for c, d in q.reps))
+    lattice = math.gcd(*(table[c * N + d] - cusp[math.gcd(c, N)] + cusp[math.gcd(d, N)] for c, d in reps))
     return table, 2 * lattice * (1 if at_zero > 0 else -1)
 
 
@@ -200,17 +172,17 @@ def family_l_ratio(fam, d: int) -> Fraction:
 
 @cache
 def _family_l_ratio(fam: Family, d: int) -> Fraction:
-    D = quad_field_data(d).D  # raises unless d > 1 is squarefree
+    D = fundamental_discriminant(d)  # raises unless d > 1 is squarefree
     table, den = plus_symbol(fam)
     N = fam.level
     # a/D and -a/D give the same value, since phi and chi_D are even
     half = sum(chi * _symbol_to(a, D, table, N) for a in range(1, D // 2 + 1) if (chi := kronecker(D, a)))
-    # Omega(E_d) = (u/6) Omega(E)/sqrt(d), with u the scaling from the short
-    # model quadratic_twist starts from to the minimal one
-    E = base_curve(fam)
-    u12, rem = divmod(6**12 * E.discriminant * d**6, quadratic_twist(E, d).discriminant)
-    u = iroot(u12, 12)
-    if rem or u**12 != u12:
-        raise ArithmeticError(f"the twist by {d} is not a rescaling of its short model")
-    # 6 sqrt(d) / (u sqrt(D)), with sqrt(D / d) = 1 or 2
-    return Fraction(-2 * half * (6 if D == d else 3), den * u)
+    # Omega(E_d) = Omega(E)/sqrt(D).  E_d's minimal model is the short model
+    # y^2 = x^3 - 27 c4 d^2 x - 54 c6 d^3, of period Omega(E)/(6 sqrt(d)),
+    # scaled by u = 6 if D = d and 3 if D = 4d; so (u/6) sqrt(D/d) = 1.  At 3,
+    # E is multiplicative (3 || N), and E_d has the same v_3(Delta) if 3 does
+    # not divide d, 6 more (type I_n*) if it does, so u_3 = 3.  At 2, E is good
+    # (N odd) with c4 odd: if d = 1 mod 4, E_d is good too, so u_2 = 2;
+    # otherwise E_d is bad, and by Kraus's criterion the short model scaled by
+    # 2 is not integral, so u_2 = 1.  At p > 3, v_p(Delta) < 12 already.
+    return Fraction(-2 * half, den)

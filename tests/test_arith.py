@@ -9,6 +9,7 @@ from twistcheck.arith import (
     NotSquarefree,
     ZeroInput,
     factorize,
+    fundamental_discriminant,
     integer_roots,
     iroot,
     is_prime,
@@ -18,7 +19,6 @@ from twistcheck.arith import (
     pol_mul,
     pol_powmod,
     pol_root_count,
-    quad_field_data,
     real_cubic_roots,
     sieve_primes,
     valuation,
@@ -305,29 +305,31 @@ class TestQuadraticRootCount:
 
 
 class TestQuadFieldData:
+    """What the program reads of Q(sqrt(d)): its discriminant D, and the
+    conductor exponent v_p(D) of the quadratic character chi_D at p."""
+
     def test_d_5(self):
-        qf = quad_field_data(5)
-        assert (qf.D, qf.c2, qf.c(5)) == (5, 0, 1)
+        D = fundamental_discriminant(5)
+        assert (D, valuation(D, 2), valuation(D, 5)) == (5, 0, 1)
 
     def test_d_2(self):
-        qf = quad_field_data(2)
-        assert (qf.D, qf.c2) == (8, 3)
-        assert qf.c(3) == 0
+        D = fundamental_discriminant(2)
+        assert (D, valuation(D, 2)) == (8, 3)
+        assert valuation(D, 3) == 0
 
     def test_d_3(self):
-        qf = quad_field_data(3)
-        assert (qf.D, qf.c2, qf.c(3)) == (12, 2, 1)
+        D = fundamental_discriminant(3)
+        assert (D, valuation(D, 2), valuation(D, 3)) == (12, 2, 1)
 
     @pytest.mark.parametrize("d", [1, 0, -6, 12, 45])
     def test_rejects_bad_d(self, d):
         with pytest.raises(NotSquarefree):
-            quad_field_data(d)
+            fundamental_discriminant(d)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 199])
     def test_case_split(self, d):
-        qf = quad_field_data(d)
-        assert qf.D == (d if d % 4 == 1 else 4 * d)
-        assert qf.c2 == {1: 0, 2: 3, 3: 2}[d % 4]
+        D = fundamental_discriminant(d)
+        assert D == (d if d % 4 == 1 else 4 * d)
+        assert valuation(D, 2) == {1: 0, 2: 3, 3: 2}[d % 4]
         for p in (3, 5, 7, 199):
-            if p != 2:
-                assert qf.c(p) == (1 if d % p == 0 else 0)
+            assert valuation(D, p) == (1 if d % p == 0 else 0)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistcheck import certify, lseries, modsym
+from twistcheck import certify, curves, lseries, modsym
 from twistcheck.arith import is_squarefree
 from twistcheck.curves import Family, base_curve, quadratic_twist
 from twistcheck.local_invariants import tamagawa_product
@@ -19,13 +19,17 @@ from twistcheck.torsion_galois import torsion_subgroup
 
 class TestNoSeriesBehindTheSymbol:
     def test_golden_rows_without_series_or_period(self, monkeypatch):
+        for cached in (modsym.plus_symbol, modsym._family_l_ratio):
+            cached.cache_clear()
+        for fam in Family:
+            base_curve(fam)  # built before minimal_model refuses: no twist needs it
+
         def refuse(*args):
-            raise AssertionError("the exact path must not reach the float series")
+            raise AssertionError("the exact path must not reach the float series, a period or a model of the twist")
 
         monkeypatch.setattr(lseries, "_l_series", refuse)
         monkeypatch.setattr(lseries, "period_of_model", refuse)
-        for cached in (modsym.plus_symbol, modsym._family_l_ratio):
-            cached.cache_clear()
+        monkeypatch.setattr(curves, "minimal_model", refuse)
         for fam, rows in ((Family.X15, TABLE1), (Family.X21, TABLE2)):
             assert [family_l_ratio(fam, r.d) for r in rows] == [r.lratio for r in rows]
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import exact_count, random_curves
 from twistcheck import frobenius
-from twistcheck.arith import kronecker, prime_divisors, quad_field_data, sieve_primes
+from twistcheck.arith import fundamental_discriminant, kronecker, prime_divisors, sieve_primes
 from twistcheck.curves import CurveModel, base_curve, minimal_model, quadratic_twist
 from twistcheck.frobenius import (
     BSGS_MIN_P,
@@ -129,7 +129,7 @@ class TestAp:
     def test_twist_compatibility(self, x15):
         for d in (5, 7, 11):
             Y = quadratic_twist(x15, d)
-            D = quad_field_data(d).D
+            D = fundamental_discriminant(d)
             for p in sieve_primes(200):
                 if (2 * 15 * d) % p == 0:
                     continue

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from twistcheck.arith import QuadFieldData
 from twistcheck.certify import Certificate, Condition, TableReport, TableRowResult
 from twistcheck.cli_io import ExternalCurveRow
 from twistcheck.curves import CurveModel, Family
@@ -23,7 +22,6 @@ from twistcheck.torsion_galois import GaloisImageVerdict, TorsionStructure
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 RECORDS = (
-    QuadFieldData,
     Condition,
     Certificate,
     TableRowResult,
