@@ -8,8 +8,9 @@ r, any other is split by Pollard-Brent rho (Brent, BIT 20, 1980).
 
 Roots: real roots of a cubic in closed form, Newton-polished in float64;
 integer roots of a squarefree polynomial by p-adic Newton lifting from one
-good prime; the number of roots over F_p as deg gcd(f, T^p - T) (Cohen,
-GTM 138, section 3.4).
+good prime, as far as Fujiwara's bound on the roots' moduli (M. Fujiwara,
+Tohoku Math. J. 10, 1916); the number of roots over F_p as
+deg gcd(f, T^p - T) (Cohen, GTM 138, section 3.4).
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def integer_roots(f: list[int]) -> list[int]:
     coefficients), each checked by substitution.
 
     Roots mod the first prime p that keeps f squarefree are lifted p-adically
-    by Newton's method past twice the Cauchy bound.  Raises ArithmeticError on
+    by Newton's method past twice _root_bound(f).  Raises ArithmeticError on
     non-squarefree f, once the failed primes multiply past lead(f) times
     Mahler's discriminant bound d^d |f|_2^(2d-2).
     """
@@ -346,12 +347,20 @@ def integer_roots(f: list[int]) -> list[int]:
         if failed > limit:
             raise ArithmeticError(f"polynomial {f} is not squarefree")
     roots = [x for x in range(p) if _value(fp, x) % p == 0]
-    bound = 2 + max(abs(c) for c in f[:-1]) // abs(f[-1])  # Cauchy: |root| < bound
+    bound = _root_bound(f)
     m = p
     while m <= 2 * bound:
         m *= m
         roots = [(r - _value(f, r) * pow(_value(df, r), -1, m)) % m for r in roots]
     return sorted(r for r in (r - m if 2 * r > m else r for r in roots) if _value(f, r) == 0)
+
+
+def _root_bound(f: list[int]) -> int:
+    """An integer above |z| for every complex root z of f (ascending
+    coefficients, degree >= 1).  By Fujiwara, |z| <= 2 max_k |a_(d-k) / a_d|^(1/k);
+    iroot(ceil(|a_(d-k) / a_d|), k) + 1 exceeds each term's k-th root."""
+    lead = abs(f[-1])
+    return 2 * max(iroot(-(-abs(c) // lead), k) + 1 for k, c in enumerate(reversed(f[:-1]), 1))
 
 
 def _value(f: list[int], x: int) -> int:

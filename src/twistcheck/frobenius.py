@@ -66,11 +66,11 @@ def count_points(E: CurveModel, p: int) -> int:
         return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0 for x, y in pairs)
     if p < BSGS_MIN_P:
         return p + 1 + _char_sum(E.b2 % p, E.b4 % p, E.b6 % p, p)
-    return p + 1 - _trace_bsgs(-27 * E.c4 % p, -54 * E.c6 % p, p, _two_torsion_order(E.c4, E.c6), p + 1)
+    return p + 1 - _trace_bsgs(-27 * E.c4 % p, -54 * E.c6 % p, p, two_torsion_order(E.c4, E.c6), p + 1)
 
 
 @cache
-def _two_torsion_order(c4: int, c6: int) -> int:
+def two_torsion_order(c4: int, c6: int) -> int:
     """Order 1, 2 or 4 of E(Q)[2]: one plus the number of integer roots X of
     X^3 - 27 c4 X - 54 c6, the points (X, 0) of order 2 on
     Y^2 = X^3 - 27 c4 X - 54 c6.  The cubic's discriminant is 2^8 3^12 disc,

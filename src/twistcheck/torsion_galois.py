@@ -1,13 +1,17 @@
 """Rational torsion subgroups and one-sided mod-l surjectivity certificates.
 
-Torsion bounds the order by the gcd of reduction counts at eight odd primes
-prime to the minimal discriminant, then searches E[n] only, for each
-n = gcd(bound, 8 | 9 | 5 | 7) > 1 that Mazur allows.  Those points are
-integral on the scaled short model Y^2 = X^3 + A X + B, A = -27 c4,
-B = -54 c6 (Lutz-Nagell), so X is an integer root of a division polynomial.
-The points are counted, not built: the order is the product of the counts of
-the parts, and since the order and #E(Q)[2] tell Mazur's fifteen groups
-apart, they give the structure.
+Torsion bounds the order by the gcd of reduction counts at up to eight odd
+primes prime to the minimal discriminant, stopping once the gcd is 1.  Then
+it searches E[l^k] for the l^k dividing gcd(bound, 8 | 9 | 5 | 7) that Mazur
+allows, in increasing k, and stops at a level with no new point, since none
+lies above it: E(Q)[2] from the integer roots of the 2-division cubic, E[4]
+only when E(Q)[2] is not 0, E[8] only when E[4] has a point outside E[2],
+and E[9] only when E[3] has a point.  Those points are integral on the scaled
+short model Y^2 = X^3 + A X + B, A = -27 c4, B = -54 c6 (Lutz-Nagell), so X
+is an integer root of a division polynomial: psi_n for odd n, and psi_n / 2Y
+for even n, whose roots miss E[2].  The points are counted, not built: the
+order is the product of the counts of the parts, and since the order and
+#E(Q)[2] tell Mazur's fifteen groups apart, they give the structure.
 
 Surjectivity mod l >= 5 is certified from Frobenius trace/determinant pairs:
 one witness whose characteristic polynomial is irreducible (nonsquare
@@ -52,7 +56,7 @@ from .arith import (
     sieve_primes,
 )
 from .curves import CurveModel, minimal_model
-from .frobenius import ap, count_points
+from .frobenius import ap, count_points, two_torsion_order
 from .local_invariants import conductor
 
 SURJECTIVE = "Surjective"
@@ -91,24 +95,29 @@ def torsion_subgroup(E: CurveModel) -> TorsionStructure:
     the parts' point counts, and the structure follows from it and #E(Q)[2]."""
     M = minimal_model(E)
 
-    # (i) order bound from reductions at eight good odd primes
+    # (i) order bound: the gcd of reduction counts at up to eight good odd
+    # primes, read until it reaches 1
+    bound = 0
     good = (p for p in sieve_primes(SAMPLE_BOUND) if p != 2 and M.discriminant % p)
-    bound = math.gcd(*(count_points(M, p) for p in itertools.islice(good, 8)))
+    for p in itertools.islice(good, 8):
+        bound = math.gcd(bound, count_points(M, p))
+        if bound == 1:
+            break
 
-    # (ii) the l-part lies in E[n], n = gcd(bound, 8 | 9 | 5 | 7) by Mazur; its
-    # points are integral on Y^2 = F(X) = X^3 + A X + B (Lutz-Nagell): two per
-    # X with F(X) a nonzero square, one (of order 2) per root of F
+    # (ii) the l-part is E(Q)[l^k] with l^k | gcd(bound, 8 | 9 | 5 | 7) by Mazur,
+    # counted level by level upward.  A level with no new point ends the
+    # search: l times a point of order l^(k+1) has order l^k.
     A, B = -27 * M.c4, -54 * M.c6
-    order = two_torsion = 1
-    for n in (math.gcd(bound, q) for q in (8, 9, 5, 7)):
-        part = 1
-        for X in integer_roots(_division_polynomial(A, B, n)):
-            Y2 = (X * X + A) * X + B
-            if Y2 == 0:
-                part += 1
-                two_torsion += 1
-            elif Y2 > 0 and math.isqrt(Y2) ** 2 == Y2:
-                part += 2
+    two_torsion = two_torsion_order(M.c4, M.c6) if bound % 2 == 0 else 1
+    order = 1
+    for l, top in ((2, 8), (3, 9), (5, 5), (7, 7)):
+        base = two_torsion if l == 2 else 1  # E(Q)[n] meets E[2] in E(Q)[gcd(n, 2)]
+        part, n = 1, l  # part = #E(Q)[n / l]
+        while n <= top and bound % n == 0:
+            level = base if n == 2 else base + _points_off_two_torsion(A, B, n)
+            if level == part:
+                break
+            part, n = level, n * l
         order *= part
 
     if bound % order:
@@ -120,12 +129,20 @@ def torsion_subgroup(E: CurveModel) -> TorsionStructure:
     return TorsionStructure(factors, order)
 
 
+def _points_off_two_torsion(A: int, B: int, n: int) -> int:
+    """#E(Q)[n] minus #E(Q)[gcd(n, 2)] for n > 2, on Y^2 = F(X) = X^3 + A X + B.
+    Those points are integral (Lutz-Nagell), two per integer root X of g_n
+    with F(X) a square, which is nonzero off E[2]."""
+    values = ((X * X + A) * X + B for X in integer_roots(_division_polynomial(A, B, n)))
+    return 2 * sum(Y2 > 0 and math.isqrt(Y2) ** 2 == Y2 for Y2 in values)
+
+
 def _division_polynomial(A: int, B: int, n: int) -> list[int]:
-    """Squarefree polynomial in X, ascending coefficients, whose roots are the
-    X-coordinates of E[n] minus O on Y^2 = F(X) = X^3 + A X + B: psi_n for odd
-    n, psi_n Y / 2 for even n.  The recursion runs on g_k = psi_k for odd k and
-    psi_k / 2Y for even k (Washington, Elliptic Curves, section 3.2;
-    Silverman, AEC, exercise 3.7)."""
+    """Squarefree polynomial g_n in X, ascending coefficients, on
+    Y^2 = F(X) = X^3 + A X + B: psi_n for odd n, whose roots are the
+    X-coordinates of E[n] minus O, and psi_n / 2Y for even n, whose roots are
+    those of E[n] minus E[2] (no factor F).  The recursion runs on the g_k
+    (Washington, Elliptic Curves, section 3.2; Silverman, AEC, exercise 3.7)."""
     F = [B, A, 0, 1]
     g = [[], [1], [1], [-A * A, 12 * B, 6 * A, 0, 3]]
     g.append([-2 * A**3 - 16 * B * B, -8 * A * B, -10 * A * A, 40 * B, 10 * A, 0, 2])
@@ -140,7 +157,7 @@ def _division_polynomial(A: int, B: int, n: int) -> list[int]:
             u = pol_mul(g[m], pol_mul(g[m + 2], pol_mul(g[m - 1], g[m - 1])))
             v = pol_mul(g[m], pol_mul(g[m - 2], pol_mul(g[m + 1], g[m + 1])))
         g.append(pol_trim([a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]))
-    return g[n] if n % 2 else pol_mul(g[n], F)
+    return g[n]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from twistcheck.arith import (
     NotSquarefree,
     ZeroInput,
+    _root_bound,
+    _value,
     factorize,
     fundamental_discriminant,
     integer_roots,
@@ -23,6 +25,8 @@ from twistcheck.arith import (
     sieve_primes,
     valuation,
 )
+from twistcheck.curves import base_curve, minimal_model
+from twistcheck.torsion_galois import _division_polynomial
 
 
 def brute_legendre(a: int, p: int) -> int:
@@ -249,6 +253,48 @@ class TestRoots:
             integer_roots(pol_mul(pol_mul([1, 0, 1], [1, 0, 1]), [-3, 1]))
         with pytest.raises(ArithmeticError):
             integer_roots([0, 0])
+
+    def test_root_bound_exceeds_every_complex_root(self):
+        import numpy
+
+        rng = random.Random(26)
+        for _ in range(400):
+            size = 10 ** rng.randint(1, 30)
+            f = [rng.randint(-size, size) for _ in range(rng.randint(1, 12))]
+            f.append(rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 6)))
+            assert _root_bound(f) > max(abs(numpy.roots(f[::-1]))), f
+
+    @pytest.mark.parametrize("R", [10**20 + 39, -(10**20) - 1, 3 * 10**19 + 7])
+    def test_planted_root_of_largest_modulus(self, R):
+        # (X - R)(X^2 + R^2)(X + 3)(2 X^2 - 5): |R| is the largest modulus, shared
+        # with the pair +-iR, and the other roots are -3 and +-sqrt(5/2)
+        f = pol_mul(pol_mul([-R, 1], [R * R, 0, 1]), pol_mul([3, 1], [-5, 0, 2]))
+        assert len(f) == 7
+        assert _root_bound(f) > abs(R)
+        assert integer_roots(f) == sorted({R, -3})
+
+    @pytest.mark.parametrize("fam", ["15", "21"])
+    def test_psi4_of_family_twists(self, fam):
+        # On Y^2 = X^3 + A d^2 X + B d^3 the roots of g_4 = psi_4 / 2Y are d times
+        # those of Y^2 = X^3 + A X + B.  g_4 has leading coefficient 2, so for odd
+        # d its integer roots are d times the base's; a planted root R lies
+        # beyond every other root.
+        import numpy
+
+        M = minimal_model(base_curve(fam))
+        A, B = -27 * M.c4, -54 * M.c6
+        g4 = _division_polynomial(A, B, 4)
+        reach = int(max(abs(numpy.roots(g4[::-1])))) + 2
+        base = [x for x in range(-reach, reach + 1) if _value(g4, x) == 0]
+        assert base  # the base curves have rational points of order 4
+        for d in (835, -(10**9) - 7, 10**15 + 37):
+            f = _division_polynomial(A * d * d, B * d**3, 4)
+            assert len(f) == 7
+            assert integer_roots(f) == sorted(d * x for x in base), d
+            R = 2 * abs(d) * reach + 1
+            planted = pol_mul(f, [-R, 1])
+            assert _root_bound(planted) > R
+            assert integer_roots(planted) == sorted(d * x for x in base) + [R], d
 
     def test_real_cubic_roots(self):
         assert real_cubic_roots(1, 0, -7, 6) == [2.0, 1.0, -3.0]

@@ -18,10 +18,10 @@ from twistcheck.frobenius import (
     _mul,
     _solutions,
     _trace_bsgs,
-    _two_torsion_order,
     an_coefficients,
     ap,
     count_points,
+    two_torsion_order,
 )
 from twistcheck.local_invariants import ADDITIVE, GOOD, NONSPLIT, SPLIT, NotMinimalAtP, conductor
 
@@ -297,7 +297,7 @@ def two_torsion_curves() -> dict[int, list[CurveModel]]:
         if u * u - 4 * v < 0 or math.isqrt(u * u - 4 * v) ** 2 != u * u - 4 * v:
             E = CurveModel.from_ainvs((0, u - e, 0, v - e * u, -e * v))
             by_roots[1] += [E] if E.discriminant else []
-    by_roots[0] = [E for E in random_curves(30, seed=32) if _two_torsion_order(E.c4, E.c6) == 1][:4]
+    by_roots[0] = [E for E in random_curves(30, seed=32) if two_torsion_order(E.c4, E.c6) == 1][:4]
     return by_roots
 
 
@@ -309,7 +309,7 @@ class TestTwoTorsionCongruence:
         curves = two_torsion_curves()[roots]
         assert len(curves) == 4
         for E in curves:
-            m = _two_torsion_order(E.c4, E.c6)
+            m = two_torsion_order(E.c4, E.c6)
             assert m == 1 + roots
             for p in bsgs_primes(E, 20000)[::60]:
                 n = exact_count(E, p)
@@ -319,7 +319,7 @@ class TestTwoTorsionCongruence:
         for E in (x15, x21):
             for d in (-7, -1, 2, 629, 1093, 4999):
                 Y = quadratic_twist(E, d)
-                assert _two_torsion_order(Y.c4, Y.c6) == 4
+                assert two_torsion_order(Y.c4, Y.c6) == 4
                 for p in bsgs_primes(Y, 20000)[::80]:
                     assert count_points(Y, p) == exact_count(Y, p), (d, p)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_curves, scan_torsion, torsion_points
-from twistcheck import local_invariants
+from twistcheck import local_invariants, torsion_galois
 from twistcheck.arith import integer_roots, is_squarefree, sieve_primes
 from twistcheck.curves import (
     CurveModel,
@@ -21,6 +21,7 @@ from twistcheck.torsion_galois import (
     SURJECTIVE,
     UNDETERMINED,
     InvalidL,
+    _division_polynomial,
     mod_l_image,
     torsion_subgroup,
 )
@@ -141,6 +142,25 @@ def kubert_curves() -> list[tuple[tuple[int, ...], CurveModel]]:
     return out
 
 
+# twists whose reduction bound is 8 but whose torsion is (2, 2): the family
+# twist (21, 835) and twists from the benchmark's seeded cross-check tables
+BOUND_EIGHT_TWISTS = (("21", 835), ("15", 257), ("21", 701), ("15", 1037), ("21", 451))
+# reduction bound 9: 54b1 (Z/3), and two curves 9-isogenous to a Z/9 curve
+# (54b3 and Kubert's member at t = 3), with no rational 3-torsion
+BOUND_NINE = ((1, -1, 1, 1, -1), (1, -1, 1, -29, -53), (1, 0, 0, -381702, -90803346))
+
+
+def record_torsion_work(monkeypatch) -> tuple[list[int], list[int]]:
+    """The primes torsion_subgroup counts points at and the n of each division
+    polynomial it builds, from here on with a cleared cache."""
+    primes, levels = [], []
+    count, division = torsion_galois.count_points, torsion_galois._division_polynomial
+    monkeypatch.setattr(torsion_galois, "count_points", lambda M, p: primes.append(p) or count(M, p))
+    monkeypatch.setattr(torsion_galois, "_division_polynomial", lambda A, B, n: levels.append(n) or division(A, B, n))
+    torsion_subgroup.cache_clear()
+    return primes, levels
+
+
 class TestTorsion:
     @pytest.mark.parametrize("factors", MAZUR_ANCHORS)
     def test_every_mazur_shape(self, factors):
@@ -152,8 +172,10 @@ class TestTorsion:
     def test_matches_divisor_scan(self, x15, x21):
         curves = [CurveModel.from_ainvs(a) for a in MAZUR_ANCHORS.values()]
         curves += random_curves(60, seed=8)
+        curves += [CurveModel.from_ainvs(a) for a in BOUND_NINE]
         for E in (x15, x21):
             curves += [quadratic_twist(E, d) for d in range(2, 101) if is_squarefree(d)]
+        curves += [quadratic_twist({"15": x15, "21": x21}[fam], d) for fam, d in BOUND_EIGHT_TWISTS]
         for E in curves:
             assert torsion_subgroup(E).invariant_factors == scan_torsion(E), E
         # some members are larger than their family: Z/4 at t = 3 is (2, 4)
@@ -262,6 +284,49 @@ class TestTorsion:
         E = CurveModel.from_ainvs((0, 0, 1, -1, 0))  # rank-1 curve 37a1, trivial torsion
         tor = torsion_subgroup(E)
         assert tor.order == 1 and tor.invariant_factors == ()
+
+
+class TestTorsionSearch:
+    """torsion_subgroup stops the bound at gcd 1 and climbs E[l^k] only as far
+    as a point can exist."""
+
+    def test_trivial_torsion_stops_at_gcd_one(self, monkeypatch):
+        primes, levels = record_torsion_work(monkeypatch)
+        assert torsion_subgroup(CurveModel.from_ainvs((0, 0, 1, -1, 0))).order == 1  # 37a1
+        assert 0 < len(primes) < 8
+        assert levels == []
+
+    def test_bound_eight_without_a_point_of_order_four(self, x21, monkeypatch):
+        E = quadratic_twist(x21, 835)
+        primes, levels = record_torsion_work(monkeypatch)
+        assert torsion_subgroup(E).invariant_factors == (2, 2)
+        assert len(primes) == 8
+        assert levels == [4]
+
+    @pytest.mark.parametrize(
+        "factors,levels", [((2, 8), [4, 8]), ((9,), [3, 9]), ((8,), [4, 8]), ((3,), [3])], ids=["2x8", "9", "8", "3"]
+    )
+    def test_mazur_anchors_climb_to_their_order(self, factors, levels, monkeypatch):
+        E = CurveModel.from_ainvs(MAZUR_ANCHORS[factors])
+        _, asked = record_torsion_work(monkeypatch)
+        assert torsion_subgroup(E).invariant_factors == factors
+        assert asked == levels
+
+    def test_no_point_of_order_three_below_a_bound_of_nine(self, monkeypatch):
+        primes, levels = record_torsion_work(monkeypatch)
+        assert torsion_subgroup(CurveModel.from_ainvs(BOUND_NINE[1])).order == 1
+        assert len(primes) == 8
+        assert levels == [3]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+    def test_division_polynomial_roots_miss_two_torsion(self, x15, n):
+        # deg g_n = (n^2 - 1) / 2 for odd n and (n^2 - 4) / 2 for even n: the
+        # X-coordinates of E[n] minus O, or minus E[2], none a root of F
+        M = minimal_model(x15)
+        A, B = -27 * M.c4, -54 * M.c6
+        g = _division_polynomial(A, B, n)
+        assert len(g) - 1 == (n * n - (1 if n % 2 else 4)) // 2
+        assert not set(integer_roots(g)) & set(integer_roots([B, A, 0, 1]))
 
 
 class TestTwoTorsion:
